@@ -22,6 +22,7 @@ Environment knobs (on top of ``conftest``'s):
 
 import json
 import os
+import statistics
 import time
 
 from repro.campaigns import CampaignSpec, run_campaign
@@ -186,54 +187,85 @@ def test_persistent_pool_shard_throughput(
 OVERHEAD_CEILING = 1.05
 SMOKE_OVERHEAD_CEILING = 1.25
 
+#: Interleaved blocking/polling campaign pairs per measurement; the
+#: gate reads the median of their per-pair ratios, so one campaign
+#: slowed by the host cannot decide it.  One pair's ratio spreads by
+#: about +-0.1 on a 2-vCPU host around a true ratio near 1.0, which a
+#: single sample turned into intermittent failures.
+OVERHEAD_SAMPLES = 15
+SMOKE_OVERHEAD_SAMPLES = 7
+
 
 def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
     runs_per_point = 8 if _smoke() else 32
     ceiling = (
         SMOKE_OVERHEAD_CEILING if _smoke() else OVERHEAD_CEILING
     )
+    n_samples = SMOKE_OVERHEAD_SAMPLES if _smoke() else OVERHEAD_SAMPLES
     spec = _bench_spec(runs_per_point, seed + 1)
-    blocking = SupervisionPolicy()  # run_timeout=None: blocking waits
-    polling = SupervisionPolicy(run_timeout=60.0)  # never fires
+    policies = {
+        "blocking": SupervisionPolicy(),  # run_timeout=None
+        "polling": SupervisionPolicy(run_timeout=60.0),  # never fires
+    }
 
     def measure():
         warm = _bench_spec(2, seed + 1)
         _time_campaign(
             warm, str(tmp_path / "warm.sqlite"), use_pool=True,
-            supervision=blocking,
+            supervision=policies["blocking"],
         )
-        base_t, base_status, _ = _time_campaign(
-            spec, str(tmp_path / "blocking.sqlite"), use_pool=True,
-            supervision=blocking,
-        )
-        timed_t, timed_status, _ = _time_campaign(
-            spec, str(tmp_path / "polling.sqlite"), use_pool=True,
-            supervision=polling,
-        )
-        return base_t, base_status, timed_t, timed_status
+        samples = []
+        for index in range(n_samples):
+            # Alternate which engine goes first so drift in the host's
+            # speed does not favour one side.
+            order = ["blocking", "polling"]
+            if index % 2:
+                order.reverse()
+            sample = {}
+            for name in order:
+                elapsed, status, _ = _time_campaign(
+                    spec, str(tmp_path / f"{name}-{index}.sqlite"),
+                    use_pool=True, supervision=policies[name],
+                )
+                sample[name] = (elapsed, status)
+            samples.append(sample)
+        return samples
 
-    base_t, base_status, timed_t, timed_status = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    samples = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    assert base_status.complete and timed_status.complete
-    assert (
-        timed_status.canonical_digest == base_status.canonical_digest
+    digests = set()
+    for sample in samples:
+        for _, status in sample.values():
+            assert status.complete
+            digests.add(status.canonical_digest)
+    assert len(digests) == 1
+    base_times = [sample["blocking"][0] for sample in samples]
+    timed_times = [sample["polling"][0] for sample in samples]
+    ratios = sorted(
+        timed / base for base, timed in zip(base_times, timed_times)
     )
-    overhead = timed_t / base_t
+    overhead = statistics.median(ratios)
+    base_t = statistics.median(base_times)
+    timed_t = statistics.median(timed_times)
     print()
     print(format_series_table(
         [{
             "blocking_s": base_t,
             "polling_s": timed_t,
             "overhead": overhead,
+            "ratio_min": ratios[0],
+            "ratio_max": ratios[-1],
         }],
-        title="Supervision overhead: blocking vs timeout-polled waits",
+        title="Supervision overhead: blocking vs timeout-polled waits "
+              f"(median of {n_samples} interleaved pairs)",
     ))
     supervision_record = {
+        "samples": n_samples,
         "blocking_seconds": round(base_t, 4),
         "timeout_polled_seconds": round(timed_t, 4),
         "overhead_ratio": round(overhead, 3),
+        "overhead_ratios": [round(ratio, 3) for ratio in ratios],
+        "overhead_ratio_spread": round(ratios[-1] - ratios[0], 3),
         "ceiling": ceiling,
         "smoke": _smoke(),
     }
@@ -249,6 +281,7 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
         BENCH_JSON, json.dumps(artifact, indent=2, sort_keys=True)
     )
     assert overhead <= ceiling, (
-        f"supervision (timeout-polled waits) cost {overhead:.3f}x "
-        f"the blocking baseline (ceiling {ceiling}x)"
+        f"supervision (timeout-polled waits) cost a median {overhead:.3f}x "
+        f"the blocking baseline over {n_samples} pairs "
+        f"(ceiling {ceiling}x; ratios {supervision_record['overhead_ratios']})"
     )

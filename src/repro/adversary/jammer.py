@@ -102,6 +102,11 @@ class JammingModel:
         return self._strategy
 
     @property
+    def codes(self) -> FrozenSet[int]:
+        """Pool indices known to the jammer."""
+        return self._codes
+
+    @property
     def n_compromised(self) -> int:
         """Number of compromised codes ``c`` available to the jammer."""
         return len(self._codes)

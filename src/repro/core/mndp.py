@@ -16,9 +16,18 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
 import numpy as np
 
 from repro.core.messages import MNDPRequest, MNDPResponse
@@ -53,29 +62,38 @@ def _ordered(a: int, b: int) -> Pair:
 class LogicalGraph:
     """The logical-neighbor graph over node indices.
 
-    Bulk inserts via :meth:`add_links` are buffered and only pushed into
-    the underlying networkx graph when a graph query needs them; the
-    vectorized M-NDP closure reads :meth:`edge_array` instead, so a
-    snapshot's hot path never pays per-edge networkx costs.
+    The networkx graph behind the query methods is built on the first
+    query.  Bulk inserts via :meth:`add_links` are buffered and only
+    pushed into it when a query needs them; the vectorized M-NDP closure
+    reads :meth:`edge_array` instead, so a snapshot's hot path never
+    builds a networkx graph at all.
     """
 
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(int(n_nodes)))
         self._n_nodes = int(n_nodes)
+        self._nx_graph: Optional[Any] = None
         # Every edge ever recorded: (k, 2) chunks from add_links plus a
         # list of single pairs from add_link (duplicates are harmless).
         self._chunks: List[np.ndarray] = []
         self._singles: List[Pair] = []
         self._n_flushed = 0
 
-    def _flush(self) -> None:
-        """Push buffered add_links chunks into the networkx graph."""
+    @property
+    def _graph(self):
+        """The networkx graph, built on first use and brought up to date
+        with buffered add_links chunks."""
+        if self._nx_graph is None:
+            import networkx as nx
+
+            self._nx_graph = nx.Graph()
+            self._nx_graph.add_nodes_from(range(self._n_nodes))
+            self._nx_graph.add_edges_from(self._singles)
         while self._n_flushed < len(self._chunks):
             chunk = self._chunks[self._n_flushed]
-            self._graph.add_edges_from(map(tuple, chunk.tolist()))
+            self._nx_graph.add_edges_from(map(tuple, chunk.tolist()))
             self._n_flushed += 1
+        return self._nx_graph
 
     @property
     def n_nodes(self) -> int:
@@ -85,14 +103,14 @@ class LogicalGraph:
     @property
     def n_edges(self) -> int:
         """Number of logical-neighbor links."""
-        self._flush()
         return self._graph.number_of_edges()
 
     def add_link(self, a: int, b: int) -> None:
         """Record that ``a`` and ``b`` are logical neighbors."""
         if a == b:
             raise ConfigurationError("a node is not its own neighbor")
-        self._graph.add_edge(int(a), int(b))
+        if self._nx_graph is not None:
+            self._nx_graph.add_edge(int(a), int(b))
         self._singles.append((int(a), int(b)))
 
     def add_links(self, pairs: Iterable[Pair]) -> None:
@@ -130,24 +148,22 @@ class LogicalGraph:
 
     def has_link(self, a: int, b: int) -> bool:
         """Whether the pair already discovered each other."""
-        self._flush()
         return self._graph.has_edge(int(a), int(b))
 
     def neighbors(self, node: int) -> Set[int]:
         """Logical neighbors of ``node``."""
-        self._flush()
         return set(self._graph.neighbors(int(node)))
 
     def edges(self) -> Set[Pair]:
         """All logical links as ordered pairs."""
-        self._flush()
         return {_ordered(a, b) for a, b in self._graph.edges()}
 
     def within_hops(self, source: int, max_hops: int) -> Dict[int, int]:
         """Nodes reachable from ``source`` in at most ``max_hops`` logical
         hops, mapped to their distance."""
+        import networkx as nx
+
         check_positive("max_hops", max_hops)
-        self._flush()
         return dict(
             nx.single_source_shortest_path_length(
                 self._graph, int(source), cutoff=int(max_hops)
@@ -162,9 +178,9 @@ class LogicalGraph:
 
     def copy(self) -> "LogicalGraph":
         """An independent copy."""
-        self._flush()
         clone = LogicalGraph(self.n_nodes)
-        clone._graph = self._graph.copy()
+        if self._nx_graph is not None:
+            clone._nx_graph = self._graph.copy()
         clone._chunks = list(self._chunks)
         clone._singles = list(self._singles)
         clone._n_flushed = self._n_flushed
@@ -379,9 +395,9 @@ class MNDPSampler:
         remaining = np.flatnonzero(valid & (dist == 0))
         if self._nu >= 2 and remaining.size:
             packed = np.packbits(adj, axis=1)
-            hit = (
-                packed[a_arr[remaining]] & packed[b_arr[remaining]]
-            ).any(axis=1)
+            hit = _any_common_bit(
+                packed, a_arr[remaining], packed, b_arr[remaining]
+            )
             dist[remaining[hit]] = 2
             remaining = remaining[~hit]
             if self._nu >= 3 and remaining.size:
@@ -493,10 +509,12 @@ class MNDPSampler:
                     visiteds[src] |= grown
                     frontiers[src] = grown
                     depths[src] += 1
-            stacked = np.stack(
-                [frontiers[int(a)] for a in a_arr[remaining]]
+            sources = np.unique(a_arr[remaining])
+            table = np.stack([frontiers[src] for src in sources.tolist()])
+            hit = _any_common_bit(
+                table, np.searchsorted(sources, a_arr[remaining]),
+                packed, b_arr[remaining],
             )
-            hit = (stacked & packed[b_arr[remaining]]).any(axis=1)
             dist[remaining[hit]] = level
             remaining = remaining[~hit]
 
@@ -513,6 +531,28 @@ class MNDPSampler:
                 continue
             clone.add_link(a, b)
         return clone
+
+
+#: Pairs per chunk of the packed-row AND/any tests: bounds the gathered
+#: temporaries to ``_CHUNK * n / 8`` bytes whatever the pending count.
+_CHUNK = 4096
+
+
+def _any_common_bit(
+    table_a: np.ndarray,
+    rows_a: np.ndarray,
+    table_b: np.ndarray,
+    rows_b: np.ndarray,
+) -> np.ndarray:
+    """``(table_a[rows_a] & table_b[rows_b]).any(axis=1)`` over packed
+    bitset rows, evaluated ``_CHUNK`` pairs at a time."""
+    hit = np.zeros(rows_a.size, dtype=bool)
+    for start in range(0, rows_a.size, _CHUNK):
+        stop = start + _CHUNK
+        hit[start:stop] = (
+            table_a[rows_a[start:stop]] & table_b[rows_b[start:stop]]
+        ).any(axis=1)
+    return hit
 
 
 def validate_request_chain(

@@ -12,15 +12,16 @@ One run mirrors the authors' C++ simulation:
 6. report ``P_D`` (fraction of pairs direct), ``P_M`` (fraction of
    D-NDP failures recovered), and the combined ``P``.
 
-The per-pair D-NDP sampling is vectorized over all pairs with a boolean
-node-by-code membership matrix; ``tests/experiments`` checks statistical
-agreement with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
+The per-pair D-NDP sampling reads each pair's shared-code counts from
+the assignment's ``n x m`` code array (:func:`shared_code_counts`);
+``tests/experiments`` checks statistical agreement with the reference
+per-pair :class:`repro.core.dndp.DNDPSampler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,10 +246,13 @@ class NetworkExperiment:
         into the no-op registry at negligible cost.
     compute_backend:
         ``"vectorized"`` (default) runs the snapshot pipeline on the
-        packed/NumPy implementations (neighbor search, pre-distribution,
-        D-NDP sampling, M-NDP closure); ``"reference"`` keeps the
-        original per-item loops.  Both backends consume identical rng
-        streams and produce identical :class:`RunResult` values.
+        NumPy implementations: strip-bucketed neighbor search, the
+        inverse-permutation assignment, shared-code counts from the
+        ``n x m`` code array, and the packed-bitset M-NDP closure.
+        ``"reference"`` keeps the original per-item loops and the dense
+        node-by-code membership sweep as the in-tree oracle.  Both
+        backends consume identical rng streams and produce identical
+        :class:`RunResult` values.
     phy_backend:
         When set, overrides ``config.phy_backend`` for the D-NDP
         sampling step (``"codes"`` link model only): ``"message"``
@@ -380,11 +384,12 @@ class NetworkExperiment:
             self._strategy, compromise, config.z_jamming_signals, config.mu
         )
 
+        pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if self._link_model == "independent":
             direct = self._sample_independent(pairs, seeds.rng("jamming"))
         elif config.phy_backend == "chipless":
             direct = self._sample_dndp_chipless(
-                pairs, assignment, jamming, seeds.rng("jamming")
+                pair_array, assignment, jamming, seeds.rng("jamming")
             )
         elif config.phy_backend == "chip":
             direct = self._sample_dndp_chip(
@@ -392,22 +397,22 @@ class NetworkExperiment:
             )
         else:
             direct = self._sample_dndp(
-                pairs, assignment, jamming, seeds.rng("jamming")
+                pair_array, assignment, jamming, seeds.rng("jamming")
             )
         logical = LogicalGraph(config.n_nodes)
+        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
         if self._compute_backend == "vectorized":
-            if pairs:
-                logical.add_links(
-                    np.asarray(pairs, dtype=np.int64)[direct]
-                )
+            logical.add_links(pair_array[direct])
+            recovered = mndp.discover(
+                pair_array, logical, rounds=self._mndp_rounds
+            )
         else:
             for (a, b), success in zip(pairs, direct):
                 if success:
                     logical.add_link(a, b)
-        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
-        recovered = mndp.discover(
-            pairs, logical, rounds=self._mndp_rounds
-        )
+            recovered = mndp.discover(
+                pairs, logical, rounds=self._mndp_rounds
+            )
 
         mean_latency = None
         dndp_successes = int(np.count_nonzero(direct))
@@ -463,86 +468,80 @@ class NetworkExperiment:
         jamming: JammingModel,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Vectorized per-pair D-NDP outcomes.
+        """Per-pair D-NDP outcomes on the message PHY.
 
-        Implements exactly :meth:`repro.core.dndp.DNDPSampler.sample_pair`:
-        a pair succeeds iff it shares a non-compromised code, or (random
-        jamming only) some shared compromised code's sub-session escapes
-        both the HELLO jam (prob ``beta``) and the burst jam
-        (prob ``beta'``).
-
-        The ``"vectorized"`` compute backend runs the same chunked sweep
-        over bit-packed membership rows (8x less memory traffic, popcount
-        for the at-risk counts); chunk boundaries and per-chunk rng draws
-        are identical, so both backends consume the same rng stream and
-        return the same outcomes.
+        Implements exactly :meth:`repro.core.dndp.DNDPSampler.sample_pair`
+        from each pair's shared-code counts: a pair succeeds iff it
+        shares a non-compromised code, or (random jamming only) some
+        shared compromised code's sub-session escapes both the HELLO jam
+        (prob ``beta``) and the burst jam (prob ``beta'``).  Under random
+        jamming each chunk draws one uniform per pair with a compromised
+        shared code.
         """
-        if not pairs:
+        if len(pairs) == 0:
             return np.zeros(0, dtype=bool)
-        membership, compromised = self._build_membership(
-            assignment, jamming
-        )
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        if self._compute_backend == "vectorized":
-            return self._sample_dndp_packed(
-                pair_array, membership, compromised, jamming, rng
-            )
+        kill = None
+        if self._strategy is JammerStrategy.RANDOM and jamming.n_compromised:
+            # Per sub-session failure prob beta + beta' - beta*beta'
+            # (same arithmetic as DNDPSampler's message_jammed /
+            # burst_jammed).
+            tries = min(jamming.codes_per_message, jamming.n_compromised)
+            beta = tries / jamming.n_compromised
+            beta_prime = min(3.0 * beta, 1.0)
+            kill = beta + beta_prime - beta * beta_prime
         success = np.zeros(len(pairs), dtype=bool)
-        chunk = 4096
-        for start in range(0, len(pairs), chunk):
-            stop = min(start + chunk, len(pairs))
-            rows_a = membership[pair_array[start:stop, 0]]
-            rows_b = membership[pair_array[start:stop, 1]]
-            shared = rows_a & rows_b
-            safe_shared = shared & ~compromised
-            direct = safe_shared.any(axis=1)
-            if self._strategy is JammerStrategy.RANDOM and jamming.n_compromised:
-                # Compromised shared codes may still survive random
-                # jamming: per sub-session failure prob is
-                # beta + beta' - beta*beta' (same arithmetic as
-                # DNDPSampler's message_jammed/burst_jammed).
-                tries = min(
-                    jamming.codes_per_message, jamming.n_compromised
-                )
-                beta = tries / jamming.n_compromised
-                beta_prime = min(3.0 * beta, 1.0)
-                kill = beta + beta_prime - beta * beta_prime
-                at_risk = (shared & compromised).sum(axis=1)
-                survive_any = np.zeros(stop - start, dtype=bool)
-                positive = at_risk > 0
+        for start, safe_count, comp_count in self._shared_code_counts(
+            pairs, assignment, jamming
+        ):
+            direct = safe_count > 0
+            if kill is not None:
+                positive = comp_count > 0
                 if positive.any():
-                    fail_all = kill ** at_risk[positive]
-                    survive_any[positive] = (
-                        rng.random(int(positive.sum())) >= fail_all
+                    direct[positive] |= (
+                        rng.random(int(positive.sum()))
+                        >= kill ** comp_count[positive]
                     )
-                success[start:stop] = direct | survive_any
-            else:
-                success[start:stop] = direct
+            success[start : start + direct.size] = direct
         return success
 
-    def _build_membership(
-        self, assignment, jamming: JammingModel
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The node-by-code boolean membership matrix and the
-        compromised-code indicator vector every sampling path shares."""
-        config = self._config
+    def _shared_code_counts(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        assignment,
+        jamming: JammingModel,
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, safe_count, comp_count)`` per chunk of ``_CHUNK``
+        pairs: how many codes each pair shares that the jammer does not
+        and does know.
+
+        The ``"vectorized"`` backend compares the assignment's code rows
+        (:func:`shared_code_counts`); ``"reference"`` ANDs rows of the
+        dense node-by-code membership matrix.  Chunk boundaries are the
+        same on both, so callers draw the same rng stream.
+        """
+        pair_array = np.asarray(pairs, dtype=np.int64)
+        compromised = compromised_mask(assignment.pool_size, jamming)
+        if self._compute_backend == "vectorized":
+            for start in range(0, len(pair_array), _CHUNK):
+                yield (start, *shared_code_counts(
+                    assignment.codes, compromised,
+                    pair_array[start : start + _CHUNK],
+                ))
+            return
         membership = np.zeros(
-            (config.n_nodes, assignment.pool_size), dtype=bool
+            (assignment.n_nodes, assignment.pool_size), dtype=bool
         )
-        node_codes = np.asarray(assignment.node_codes)
-        if node_codes.dtype != object and node_codes.ndim == 2:
-            membership[
-                np.arange(config.n_nodes)[:, None], node_codes
-            ] = True
-        else:
-            for node, codes in enumerate(assignment.node_codes):
-                membership[node, codes] = True
-        compromised = np.zeros(assignment.pool_size, dtype=bool)
-        if jamming.n_compromised:
-            compromised[sorted(
-                c for c in range(assignment.pool_size) if jamming.knows(c)
-            )] = True
-        return membership, compromised
+        membership[
+            np.arange(assignment.n_nodes)[:, None], assignment.codes
+        ] = True
+        for start in range(0, len(pair_array), _CHUNK):
+            chunk = pair_array[start : start + _CHUNK]
+            shared = membership[chunk[:, 0]] & membership[chunk[:, 1]]
+            yield (
+                start,
+                (shared & ~compromised).sum(axis=1),
+                (shared & compromised).sum(axis=1),
+            )
 
     def _sample_dndp_chipless(
         self,
@@ -557,57 +556,29 @@ class NetworkExperiment:
         per-message model to two sub-session probabilities (safe /
         compromised shared code); each pair's success probability is
         then ``1 - (1-p_s)^x_s (1-p_c)^x_c`` over its shared-code
-        counts, and one uniform per pair decides the outcome.  Same
-        4096-pair chunks and one ``rng.random(chunk)`` draw per chunk on
-        both compute backends, so reference and vectorized consume
-        identical rng streams and return identical outcomes.
+        counts, and one uniform per pair decides the outcome (one
+        ``rng.random(chunk)`` draw per chunk of
+        :meth:`_shared_code_counts`).
         """
         from repro.dsss.phy import ChiplessModel
 
-        if not pairs:
+        if len(pairs) == 0:
             return np.zeros(0, dtype=bool)
         model = ChiplessModel(self._config, jamming)
-        membership, compromised = self._build_membership(
-            assignment, jamming
-        )
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        n_pairs = pair_array.shape[0]
-        success = np.zeros(n_pairs, dtype=bool)
-        vectorized = self._compute_backend == "vectorized"
-        if vectorized:
-            packed = np.packbits(membership, axis=1)
-            comp_packed = np.packbits(compromised)
-            safe_packed = np.packbits(~compromised)
+        success = np.zeros(len(pairs), dtype=bool)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
-            chunk = 4096
-            for start in range(0, n_pairs, chunk):
-                stop = min(start + chunk, n_pairs)
-                if vectorized:
-                    shared = (
-                        packed[pair_array[start:stop, 0]]
-                        & packed[pair_array[start:stop, 1]]
-                    )
-                    safe_count = _POPCOUNT[shared & safe_packed].sum(
-                        axis=1, dtype=np.int64
-                    )
-                    comp_count = _POPCOUNT[shared & comp_packed].sum(
-                        axis=1, dtype=np.int64
-                    )
-                else:
-                    rows_a = membership[pair_array[start:stop, 0]]
-                    rows_b = membership[pair_array[start:stop, 1]]
-                    shared = rows_a & rows_b
-                    safe_count = (shared & ~compromised).sum(axis=1)
-                    comp_count = (shared & compromised).sum(axis=1)
+            for start, safe_count, comp_count in self._shared_code_counts(
+                pairs, assignment, jamming
+            ):
                 probability = model.pair_success_probability(
                     safe_count, comp_count
                 )
-                success[start:stop] = (
-                    rng.random(stop - start) < probability
+                success[start : start + probability.size] = (
+                    rng.random(probability.size) < probability
                 )
         if registry.enabled:
-            registry.inc(_names.PHY_PAIRS_SWEPT, n_pairs)
+            registry.inc(_names.PHY_PAIRS_SWEPT, len(pairs))
         return success
 
     def _sample_dndp_chip(
@@ -637,77 +608,45 @@ class NetworkExperiment:
         )
         phy = make_pair_phy("chip", config, jamming, pool=pool)
         sampler = DNDPSampler(config, jamming, phy=phy)
-        membership, _ = self._build_membership(assignment, jamming)
         rng = seeds.rng("jamming")
         success = np.zeros(len(pairs), dtype=bool)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
             for index, (a, b) in enumerate(pairs):
-                shared = np.flatnonzero(membership[a] & membership[b])
                 outcome = sampler.sample_pair(
-                    [int(code) for code in shared], rng
+                    assignment.shared_codes(a, b), rng
                 )
                 success[index] = outcome.success
         if registry.enabled:
             registry.inc(_names.PHY_PAIRS_SWEPT, len(pairs))
         return success
 
-    def _sample_dndp_packed(
-        self,
-        pair_array: np.ndarray,
-        membership: np.ndarray,
-        compromised: np.ndarray,
-        jamming: JammingModel,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Bit-packed form of the `_sample_dndp` chunk sweep.
 
-        ``np.packbits`` pads rows with zero bits, so packed AND/any give
-        the same answers as the boolean rows; at-risk counts come from a
-        256-entry popcount table over the packed shared bytes.
-        """
-        n_pairs = pair_array.shape[0]
-        packed = np.packbits(membership, axis=1)
-        comp_packed = np.packbits(compromised)
-        # ~compromised would flip the pad bits to 1; packing the negated
-        # *unpacked* vector keeps them 0.
-        safe_packed = np.packbits(~compromised)
-        random_strategy = (
-            self._strategy is JammerStrategy.RANDOM and jamming.n_compromised
-        )
-        if random_strategy:
-            tries = min(jamming.codes_per_message, jamming.n_compromised)
-            beta = tries / jamming.n_compromised
-            beta_prime = min(3.0 * beta, 1.0)
-            kill = beta + beta_prime - beta * beta_prime
-        success = np.zeros(n_pairs, dtype=bool)
-        chunk = 4096
-        for start in range(0, n_pairs, chunk):
-            stop = min(start + chunk, n_pairs)
-            shared = (
-                packed[pair_array[start:stop, 0]]
-                & packed[pair_array[start:stop, 1]]
-            )
-            direct = (shared & safe_packed).any(axis=1)
-            if random_strategy:
-                at_risk = _POPCOUNT[shared & comp_packed].sum(
-                    axis=1, dtype=np.int64
-                )
-                survive_any = np.zeros(stop - start, dtype=bool)
-                positive = at_risk > 0
-                if positive.any():
-                    fail_all = kill ** at_risk[positive]
-                    survive_any[positive] = (
-                        rng.random(int(positive.sum())) >= fail_all
-                    )
-                success[start:stop] = direct | survive_any
-            else:
-                success[start:stop] = direct
-        return success
+#: Pairs per D-NDP sweep chunk.  Part of the rng contract: the random
+#: jamming and chipless sweeps draw their uniforms chunk by chunk.
+_CHUNK = 4096
 
 
-# Bits set per byte value; used by the packed D-NDP sweep in place of
-# np.bitwise_count so older NumPy releases stay supported.
-_POPCOUNT = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
-)
+def compromised_mask(pool_size: int, jamming: JammingModel) -> np.ndarray:
+    """Boolean vector over the pool: ``True`` where the jammer holds
+    the code."""
+    mask = np.zeros(pool_size, dtype=bool)
+    mask[np.fromiter(jamming.codes, dtype=np.int64)] = True
+    return mask
+
+
+def shared_code_counts(
+    codes: np.ndarray, compromised: np.ndarray, pairs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(safe_count, comp_count)`` for each row of the ``(k, 2)`` pair
+    array.
+
+    ``codes`` is a :attr:`CodeAssignment.codes` array: column ``r`` holds
+    round ``r``'s code, and no code appears in two rounds, so a pair
+    shares round ``r``'s code iff its two column-``r`` entries are
+    equal.  Memory is ``O(k * m)``, independent of the pool size.
+    """
+    codes_a = codes[pairs[:, 0]]
+    hits = codes_a == codes[pairs[:, 1]]
+    comp_count = (hits & compromised[codes_a]).sum(axis=1)
+    return hits.sum(axis=1) - comp_count, comp_count

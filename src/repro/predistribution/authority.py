@@ -12,8 +12,7 @@ pool, raising each code's share count by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -23,40 +22,73 @@ from repro.utils.validation import check_positive
 __all__ = ["CodeAssignment", "PreDistributor"]
 
 
-@dataclass
 class CodeAssignment:
     """The result of pre-distribution.
 
+    The canonical form is :attr:`codes`, an ``n x m`` integer array whose
+    row ``i`` lists node ``i``'s pool indices in round order.  Every
+    round hands each node exactly one code and round ``r`` owns the ids
+    ``w*r .. w*r + w - 1``, so ``codes[:, r] // w == r`` and two nodes
+    share round ``r``'s code iff their column-``r`` entries are equal.
+    The list/set views are derived on first access.
+
     Attributes
     ----------
-    node_codes:
-        ``node_codes[i]`` is the ordered list of pool indices assigned to
-        node ``i`` (length ``m``).
-    code_holders:
-        ``code_holders[c]`` is the set of node indices holding pool code
-        ``c``.
+    codes:
+        Read-only ``(n, m)`` int64 array of pool indices.
     pool_size:
         Total number of pool codes ``s = w * m`` used by the assignment.
     """
 
-    node_codes: List[List[int]]
-    code_holders: Dict[int, Set[int]] = field(repr=False)
-    pool_size: int = 0
+    def __init__(self, codes: np.ndarray, pool_size: int) -> None:
+        codes = np.asarray(codes, dtype=np.int64)
+        codes.flags.writeable = False
+        self.codes = codes
+        self.pool_size = int(pool_size)
+        self._node_codes: Optional[List[List[int]]] = None
+        self._code_holders: Optional[Dict[int, Set[int]]] = None
+
+    @property
+    def node_codes(self) -> List[List[int]]:
+        """``node_codes[i]`` is the ordered list of pool indices assigned
+        to node ``i`` (length ``m``)."""
+        if self._node_codes is None:
+            self._node_codes = self.codes.tolist()
+        return self._node_codes
+
+    @property
+    def code_holders(self) -> Dict[int, Set[int]]:
+        """``code_holders[c]`` is the set of node indices holding pool
+        code ``c``, keyed in code order."""
+        if self._code_holders is None:
+            flat = self.codes.ravel()
+            by_code = np.argsort(flat, kind="stable")
+            holders = (by_code // self.codes_per_node).tolist()
+            stops = np.cumsum(
+                np.bincount(flat, minlength=self.pool_size)
+            ).tolist()
+            self._code_holders = {}
+            begin = 0
+            for code, stop in enumerate(stops):
+                self._code_holders[code] = set(holders[begin:stop])
+                begin = stop
+        return self._code_holders
 
     @property
     def n_nodes(self) -> int:
         """Number of (real) nodes covered by the assignment."""
-        return len(self.node_codes)
+        return int(self.codes.shape[0])
 
     @property
     def codes_per_node(self) -> int:
         """The paper's ``m``."""
-        return len(self.node_codes[0]) if self.node_codes else 0
+        return int(self.codes.shape[1])
 
     def shared_codes(self, a: int, b: int) -> List[int]:
         """Pool indices shared by nodes ``a`` and ``b`` (the paper's
-        ``C_A ∩ C_B``)."""
-        return sorted(set(self.node_codes[a]) & set(self.node_codes[b]))
+        ``C_A ∩ C_B``), ascending."""
+        row_a = self.codes[a]
+        return row_a[row_a == self.codes[b]].tolist()
 
     def holders_of(self, code_index: int) -> Set[int]:
         """Nodes holding pool code ``code_index``."""
@@ -65,21 +97,17 @@ class CodeAssignment:
     def max_share_count(self) -> int:
         """Largest number of nodes sharing any one code (``<= l`` plus
         any late-join increments)."""
-        return max(
-            (len(holders) for holders in self.code_holders.values()),
-            default=0,
-        )
+        return int(np.bincount(self.codes.ravel()).max())
 
     def compromised_codes(self, compromised_nodes: Sequence[int]) -> Set[int]:
         """Union of pool indices held by the given nodes."""
-        codes: Set[int] = set()
-        for node in compromised_nodes:
-            if not 0 <= node < self.n_nodes:
-                raise ConfigurationError(
-                    f"node index {node} out of range [0, {self.n_nodes})"
-                )
-            codes.update(self.node_codes[node])
-        return codes
+        nodes = np.fromiter(compromised_nodes, dtype=np.int64)
+        bad = nodes[(nodes < 0) | (nodes >= self.n_nodes)]
+        if bad.size:
+            raise ConfigurationError(
+                f"node index {bad[0]} out of range [0, {self.n_nodes})"
+            )
+        return set(np.unique(self.codes[nodes]).tolist())
 
 
 class PreDistributor:
@@ -175,73 +203,33 @@ class PreDistributor:
 
     def _assign_reference(self, rng: np.random.Generator) -> CodeAssignment:
         total = self._n + self._n_virtual
-        node_codes: List[List[int]] = [[] for _ in range(self._n)]
-        code_holders: Dict[int, Set[int]] = {}
+        codes = np.empty((self._n, self._m), dtype=np.int64)
         for round_index in range(self._m):
             order = rng.permutation(total)
             for subset_index in range(self._w):
-                code_index = self._w * round_index + subset_index
                 members = order[
                     subset_index * self._l : (subset_index + 1) * self._l
                 ]
-                holders = {int(node) for node in members if node < self._n}
-                code_holders[code_index] = holders
-                for node in holders:
-                    node_codes[node].append(code_index)
-        return CodeAssignment(
-            node_codes=node_codes,
-            code_holders=code_holders,
-            pool_size=self.pool_size,
-        )
+                codes[members[members < self._n], round_index] = (
+                    self._w * round_index + subset_index
+                )
+        return CodeAssignment(codes, self.pool_size)
 
     def _assign_vectorized(self, rng: np.random.Generator) -> CodeAssignment:
-        """Inverse-permutation form of :meth:`_assign_reference`.
-
-        A node lands in subset ``position // l``, so one scatter per
-        round yields every node's code; holder sets come from grouping
-        the real slots of the permutation by subset.
-        """
+        """Inverse-permutation form of :meth:`_assign_reference`: a node
+        lands in subset ``position // l``, so one scatter per round
+        yields every node's code."""
         total = self._n + self._n_virtual
-        codes_matrix = np.empty((self._n, self._m), dtype=np.int64)
+        codes = np.empty((self._n, self._m), dtype=np.int64)
         position_of = np.empty(total, dtype=np.int64)
         slots = np.arange(total, dtype=np.int64)
-        code_holders: Dict[int, Set[int]] = {}
         for round_index in range(self._m):
             order = rng.permutation(total)
             position_of[order] = slots
-            codes_matrix[:, round_index] = (
+            codes[:, round_index] = (
                 self._w * round_index + position_of[: self._n] // self._l
             )
-            base = self._w * round_index
-            if self._n_virtual == 0:
-                # Every slot is a real node: subsets are plain l-sized
-                # slices of the permutation.
-                nodes = order.tolist()
-                for subset_index in range(self._w):
-                    begin = subset_index * self._l
-                    code_holders[base + subset_index] = set(
-                        nodes[begin : begin + self._l]
-                    )
-            else:
-                real_mask = order < self._n
-                nodes = order[real_mask].tolist()
-                counts = np.bincount(
-                    np.flatnonzero(real_mask) // self._l,
-                    minlength=self._w,
-                )
-                stops = np.cumsum(counts).tolist()
-                begin = 0
-                for subset_index in range(self._w):
-                    stop = stops[subset_index]
-                    code_holders[base + subset_index] = set(
-                        nodes[begin:stop]
-                    )
-                    begin = stop
-        return CodeAssignment(
-            node_codes=codes_matrix.tolist(),
-            code_holders=code_holders,
-            pool_size=self.pool_size,
-        )
+        return CodeAssignment(codes, self.pool_size)
 
     def admit_new_nodes(
         self,
@@ -259,59 +247,43 @@ class PreDistributor:
         nodes.
         """
         check_positive("n_new", n_new)
-        node_codes = [list(codes) for codes in assignment.node_codes]
-        code_holders = {
-            code: set(holders)
-            for code, holders in assignment.code_holders.items()
-        }
-        new_indices: List[int] = []
+        n_old = assignment.n_nodes
+        holders = np.bincount(
+            assignment.codes.ravel(), minlength=assignment.pool_size
+        )
+        rows: List[np.ndarray] = []
         remaining = int(n_new)
-        virtual_budget = self._n_virtual - (len(node_codes) - self._n)
+        virtual_budget = self._n_virtual - (n_old - self._n)
         while remaining > 0 and virtual_budget > 0:
-            new_node = len(node_codes)
-            codes = self._codes_for_virtual_slot(code_holders, rng)
-            node_codes.append(codes)
-            for code in codes:
-                code_holders.setdefault(code, set()).add(new_node)
-            new_indices.append(new_node)
+            row = self._codes_for_virtual_slot(holders, rng)
+            holders[row] += 1
+            rows.append(row)
             remaining -= 1
             virtual_budget -= 1
         while remaining > 0:
             batch = min(remaining, self._w)
-            start = len(node_codes)
             # One extra distribution round-set over the existing s codes.
+            block = np.empty((batch, self._m), dtype=np.int64)
             for round_index in range(self._m):
                 order = rng.permutation(self._w)
-                for offset in range(batch):
-                    node = start + offset
-                    code_index = self._w * round_index + int(order[offset])
-                    if node >= len(node_codes):
-                        node_codes.extend(
-                            [] for _ in range(node - len(node_codes) + 1)
-                        )
-                    node_codes[node].append(code_index)
-                    code_holders.setdefault(code_index, set()).add(node)
-            new_indices.extend(range(start, start + batch))
+                block[:, round_index] = self._w * round_index + order[:batch]
+            rows.extend(block)
             remaining -= batch
-        extended = CodeAssignment(
-            node_codes=node_codes,
-            code_holders=code_holders,
-            pool_size=assignment.pool_size,
+        codes = np.concatenate(
+            [assignment.codes, np.array(rows, dtype=np.int64)]
         )
-        return extended, new_indices
+        extended = CodeAssignment(codes, assignment.pool_size)
+        return extended, list(range(n_old, codes.shape[0]))
 
     def _codes_for_virtual_slot(
-        self, code_holders: Dict[int, Set[int]], rng: np.random.Generator
-    ) -> List[int]:
-        """Pick one under-subscribed code per round for a late joiner."""
-        codes: List[int] = []
+        self, holders: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Pick one under-subscribed code per round for a late joiner;
+        ``holders`` counts each code's current holders."""
+        codes = np.empty(self._m, dtype=np.int64)
         for round_index in range(self._m):
-            round_codes = range(
-                self._w * round_index, self._w * (round_index + 1)
-            )
-            short = [
-                c for c in round_codes if len(code_holders.get(c, ())) < self._l
-            ]
-            pool = short if short else list(round_codes)
-            codes.append(int(pool[int(rng.integers(0, len(pool)))]))
+            base = self._w * round_index
+            short = np.flatnonzero(holders[base : base + self._w] < self._l)
+            pool = short if short.size else np.arange(self._w)
+            codes[round_index] = base + pool[int(rng.integers(0, len(pool)))]
         return codes

@@ -54,6 +54,31 @@ class TestLogicalGraph:
         clone.add_link(1, 2)
         assert not graph.has_link(1, 2)
 
+    def test_isolated_nodes_answer_queries(self):
+        # The networkx graph is built lazily, on the first query, and
+        # must still hold every node, linked or not.
+        graph = LogicalGraph(6)
+        graph.add_links([(0, 1), (1, 2)])
+        graph.add_link(3, 4)
+        assert graph.n_edges == 3
+        assert graph.neighbors(5) == set()
+        assert graph.within_hops(5, 2) == {5: 0}
+        assert graph.edges() == {(0, 1), (1, 2), (3, 4)}
+        assert LogicalGraph(4).neighbors(3) == set()
+        assert LogicalGraph(4).n_edges == 0
+
+    def test_links_added_after_first_query(self):
+        graph = LogicalGraph(5)
+        graph.add_link(0, 1)
+        assert graph.within_hops(0, 3) == {0: 0, 1: 1}
+        graph.add_links([(1, 2)])
+        graph.add_link(2, 3)
+        assert graph.within_hops(0, 3) == {0: 0, 1: 1, 2: 2, 3: 3}
+        clone = graph.copy()
+        clone.add_links([(3, 4)])
+        assert clone.has_link(3, 4)
+        assert not graph.has_link(3, 4)
+
 
 class TestMNDPSampler:
     def test_two_hop_recovery(self):
