@@ -57,7 +57,6 @@ def _time_direct(spec: CampaignSpec) -> float:
             mndp_rounds=spec.mndp_rounds,
             link_model=spec.point_link_model(point),
             collect_metrics=spec.collect_metrics,
-            compute_backend=spec.compute_backend,
         )
     return time.perf_counter() - start
 

@@ -9,9 +9,11 @@ Two gates:
    outputs and a 10x speedup of the vectorized backend (relaxed in
    smoke mode).
 2. **End-to-end runner.**  ``NetworkExperiment`` at the Table I
-   defaults under ``compute_backend="reference"`` vs ``"vectorized"``:
-   identical ``RunResult`` values and a 2x wall-clock improvement
-   (relaxed in smoke mode, which also shrinks the field).
+   defaults inside ``tests.oracles.reference_pipeline()`` (the
+   plain-loop reference layers) vs the production pipeline: identical
+   ``RunResult`` values and a 2x wall-clock improvement (relaxed in
+   smoke mode, which also shrinks the field).  Run from the repository
+   root so ``tests.oracles`` imports.
 
 Results land in ``--bench-json`` (see ``conftest``) for CI artifacts.
 
@@ -21,6 +23,7 @@ Environment knobs (on top of ``conftest``'s):
   and relaxed speedup floors, to stay robust on noisy shared runners.
 """
 
+import contextlib
 import os
 import time
 
@@ -29,6 +32,7 @@ import numpy as np
 from repro.core.config import JRSNDConfig
 from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.experiments.runner import NetworkExperiment
+from tests.oracles import reference_pipeline
 
 HELLO_DATA_SYMBOLS = 3   # 21 plain bits -> 3 byte symbols
 HELLO_PARITY_SYMBOLS = 3  # ceil(mu * k) at the Table I mu = 1
@@ -133,23 +137,22 @@ def test_runner_speedup_over_reference(benchmark, seed, bench_record):
         config = JRSNDConfig()
         runs, target = 2, 2.0
 
-    def timed(backend):
-        experiment = NetworkExperiment(
-            config, seed=seed, compute_backend=backend
-        )
-        start = time.perf_counter()
-        result = experiment.run(runs)
-        return time.perf_counter() - start, result
+    def timed(pipeline):
+        experiment = NetworkExperiment(config, seed=seed)
+        with pipeline():
+            start = time.perf_counter()
+            result = experiment.run(runs)
+            return time.perf_counter() - start, result
 
     def compare():
-        # Best of two passes per backend to ride out scheduler noise
+        # Best of two passes per pipeline to ride out scheduler noise
         # (the identical seed makes every pass the same workload).
         ref_t, ref_result = min(
-            (timed("reference") for _ in range(2)),
+            (timed(reference_pipeline) for _ in range(2)),
             key=lambda pair: pair[0],
         )
         vec_t, vec_result = min(
-            (timed("vectorized") for _ in range(2)),
+            (timed(contextlib.nullcontext) for _ in range(2)),
             key=lambda pair: pair[0],
         )
         return ref_t, vec_t, ref_result, vec_result
@@ -173,7 +176,7 @@ def test_runner_speedup_over_reference(benchmark, seed, bench_record):
         f"\nn={config.n_nodes} runs={runs}: reference {ref_t:.3f}s, "
         f"vectorized {vec_t:.3f}s -> {speedup:.2f}x"
     )
-    # Identical snapshots — the backends share every rng draw.
+    # Identical snapshots — both pipelines share every rng draw.
     assert vec_result == ref_result
     assert speedup >= target, (
         f"vectorized runner only {speedup:.2f}x faster than reference "

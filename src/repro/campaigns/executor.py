@@ -136,7 +136,6 @@ def _shard_experiment_spec(
         mndp_rounds=spec.mndp_rounds,
         link_model=spec.point_link_model(point),
         collect_metrics=spec.collect_metrics,
-        compute_backend=spec.compute_backend,
         phy_backend=spec.phy_backend,
     )
 
@@ -367,7 +366,6 @@ def run_campaign(
                                     point
                                 ),
                                 collect_metrics=spec.collect_metrics,
-                                compute_backend=spec.compute_backend,
                                 run_indices=shard.run_indices,
                                 phy_backend=spec.phy_backend,
                                 chunksize=spec.pool_chunksize,

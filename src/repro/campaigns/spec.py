@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
-from repro.core.mndp import COMPUTE_BACKENDS
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import preset_config
 from repro.utils.rng import SeedSequencer
@@ -115,7 +114,7 @@ class CampaignSpec:
     runs_per_shard:
         Checkpoint granularity: a point's runs are chunked into shards
         of at most this many runs (default: one shard per point).
-    mndp_rounds, compute_backend, collect_metrics, sample_latency:
+    mndp_rounds, collect_metrics, sample_latency:
         Forwarded to :class:`~repro.experiments.runner.NetworkExperiment`.
     phy_backend:
         Optional PHY override forwarded to the experiment; ``None``
@@ -147,7 +146,6 @@ class CampaignSpec:
     link_model: str = "codes"
     runs_per_shard: Optional[int] = None
     mndp_rounds: int = 1
-    compute_backend: str = "vectorized"
     collect_metrics: bool = True
     sample_latency: bool = False
     phy_backend: Optional[str] = None
@@ -209,11 +207,6 @@ class CampaignSpec:
                     f"grid link_model {value!r} must be one of "
                     f"{_LINK_MODELS}"
                 )
-        if self.compute_backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"compute_backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {self.compute_backend!r}"
-            )
         if self.phy_backend is not None:
             from repro.dsss.phy import PHY_BACKENDS
 
@@ -243,7 +236,9 @@ class CampaignSpec:
             "link_model": self.link_model,
             "runs_per_shard": self.runs_per_shard,
             "mndp_rounds": self.mndp_rounds,
-            "compute_backend": self.compute_backend,
+            # Fixed: spec hashes and canonical exports of existing
+            # stores include this key from when it chose a backend.
+            "compute_backend": "vectorized",
             "collect_metrics": self.collect_metrics,
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
@@ -282,6 +277,11 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"unknown campaign spec fields: {sorted(unknown)}"
             )
+        if data.get("compute_backend", "vectorized") != "vectorized":
+            raise ConfigurationError(
+                "compute_backend must be 'vectorized' (the reference "
+                f"backend was removed), got {data['compute_backend']!r}"
+            )
         for required in ("name", "seed", "runs_per_point"):
             if required not in data:
                 raise ConfigurationError(
@@ -303,9 +303,6 @@ class CampaignSpec:
                 else int(data["runs_per_shard"])
             ),
             mndp_rounds=int(data.get("mndp_rounds", 1)),
-            compute_backend=str(
-                data.get("compute_backend", "vectorized")
-            ),
             collect_metrics=bool(data.get("collect_metrics", True)),
             sample_latency=bool(data.get("sample_latency", False)),
             phy_backend=(

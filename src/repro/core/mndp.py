@@ -2,8 +2,8 @@
 
 Layers:
 
-- :class:`LogicalGraph` — the network's logical-neighbor relation, with
-  the bounded-hop reachability query M-NDP's success depends on.
+- :class:`LogicalGraph` — the network's logical-neighbor relation, kept
+  as an edge log.
 - :class:`MNDPSampler` — the Monte Carlo model: two physical neighbors
   that failed D-NDP discover each other iff a jamming-resilient logical
   path of at most ``nu`` hops connects them (M-NDP messages travel over
@@ -16,17 +16,7 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,7 +28,6 @@ from repro.obs import names as _names
 from repro.utils.validation import check_positive
 
 __all__ = [
-    "COMPUTE_BACKENDS",
     "LogicalGraph",
     "MNDPSampler",
     "PendingFrame",
@@ -47,70 +36,31 @@ __all__ = [
     "validate_response_chain",
 ]
 
-# Shared by every experiment-layer component with a reference/vectorized
-# implementation pair: "vectorized" is the fast path, "reference" the
-# original loops the fast path is equality-tested against.
-COMPUTE_BACKENDS = ("reference", "vectorized")
-
 Pair = Tuple[int, int]
 
 
-def _ordered(a: int, b: int) -> Pair:
-    return (a, b) if a <= b else (b, a)
-
-
 class LogicalGraph:
-    """The logical-neighbor graph over node indices.
-
-    The networkx graph behind the query methods is built on the first
-    query.  Bulk inserts via :meth:`add_links` are buffered and only
-    pushed into it when a query needs them; the vectorized M-NDP closure
-    reads :meth:`edge_array` instead, so a snapshot's hot path never
-    builds a networkx graph at all.
-    """
+    """The logical-neighbor relation over node indices, kept as an edge
+    log: the M-NDP closure scatters :meth:`edge_array` into its own
+    adjacency structure."""
 
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
         self._n_nodes = int(n_nodes)
-        self._nx_graph: Optional[Any] = None
         # Every edge ever recorded: (k, 2) chunks from add_links plus a
         # list of single pairs from add_link (duplicates are harmless).
         self._chunks: List[np.ndarray] = []
         self._singles: List[Pair] = []
-        self._n_flushed = 0
-
-    @property
-    def _graph(self):
-        """The networkx graph, built on first use and brought up to date
-        with buffered add_links chunks."""
-        if self._nx_graph is None:
-            import networkx as nx
-
-            self._nx_graph = nx.Graph()
-            self._nx_graph.add_nodes_from(range(self._n_nodes))
-            self._nx_graph.add_edges_from(self._singles)
-        while self._n_flushed < len(self._chunks):
-            chunk = self._chunks[self._n_flushed]
-            self._nx_graph.add_edges_from(map(tuple, chunk.tolist()))
-            self._n_flushed += 1
-        return self._nx_graph
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the graph."""
         return self._n_nodes
 
-    @property
-    def n_edges(self) -> int:
-        """Number of logical-neighbor links."""
-        return self._graph.number_of_edges()
-
     def add_link(self, a: int, b: int) -> None:
         """Record that ``a`` and ``b`` are logical neighbors."""
         if a == b:
             raise ConfigurationError("a node is not its own neighbor")
-        if self._nx_graph is not None:
-            self._nx_graph.add_edge(int(a), int(b))
         self._singles.append((int(a), int(b)))
 
     def add_links(self, pairs: Iterable[Pair]) -> None:
@@ -136,7 +86,7 @@ class LogicalGraph:
         """Every recorded link as a ``(k, 2)`` int array.
 
         May contain duplicates (re-adding a link is a no-op on the
-        graph but stays in the log); consumers scatter it into an
+        relation but stays in the log); consumers scatter it into an
         adjacency structure, where duplicates are harmless.
         """
         parts = list(self._chunks)
@@ -145,46 +95,6 @@ class LogicalGraph:
         if not parts:
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(parts, axis=0)
-
-    def has_link(self, a: int, b: int) -> bool:
-        """Whether the pair already discovered each other."""
-        return self._graph.has_edge(int(a), int(b))
-
-    def neighbors(self, node: int) -> Set[int]:
-        """Logical neighbors of ``node``."""
-        return set(self._graph.neighbors(int(node)))
-
-    def edges(self) -> Set[Pair]:
-        """All logical links as ordered pairs."""
-        return {_ordered(a, b) for a, b in self._graph.edges()}
-
-    def within_hops(self, source: int, max_hops: int) -> Dict[int, int]:
-        """Nodes reachable from ``source`` in at most ``max_hops`` logical
-        hops, mapped to their distance."""
-        import networkx as nx
-
-        check_positive("max_hops", max_hops)
-        return dict(
-            nx.single_source_shortest_path_length(
-                self._graph, int(source), cutoff=int(max_hops)
-            )
-        )
-
-    def hop_distance(self, a: int, b: int, max_hops: int) -> int:
-        """Logical distance between ``a`` and ``b``, or 0 if unreachable
-        within ``max_hops`` (0 is never a valid distance for a != b)."""
-        reachable = self.within_hops(a, max_hops)
-        return reachable.get(int(b), 0)
-
-    def copy(self) -> "LogicalGraph":
-        """An independent copy."""
-        clone = LogicalGraph(self.n_nodes)
-        if self._nx_graph is not None:
-            clone._nx_graph = self._graph.copy()
-        clone._chunks = list(self._chunks)
-        clone._singles = list(self._singles)
-        clone._n_flushed = self._n_flushed
-        return clone
 
 
 class MNDPSampler:
@@ -198,28 +108,12 @@ class MNDPSampler:
         Node indices that do not relay (e.g. when modelling compromised
         nodes refusing to cooperate — the paper keeps them in, so the
         default is empty).
-    backend:
-        ``"vectorized"`` (default) answers each round with packed-bitset
-        breadth-first expansion; ``"reference"`` keeps the original
-        per-source networkx shortest-path queries.  Both return the same
-        pairs with the same hop distances in the same order.
     """
 
-    def __init__(
-        self,
-        nu: int,
-        exclude: Iterable[int] = (),
-        backend: str = "vectorized",
-    ) -> None:
+    def __init__(self, nu: int, exclude: Iterable[int] = ()) -> None:
         check_positive("nu", nu)
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"mndp backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {backend!r}"
-            )
         self._nu = int(nu)
         self._exclude = frozenset(int(x) for x in exclude)
-        self._backend = backend
 
     @property
     def nu(self) -> int:
@@ -230,11 +124,6 @@ class MNDPSampler:
     def excluded(self) -> FrozenSet[int]:
         """Nodes that refuse to relay."""
         return self._exclude
-
-    @property
-    def backend(self) -> str:
-        """The closure implementation in use."""
-        return self._backend
 
     def discover(
         self,
@@ -249,59 +138,18 @@ class MNDPSampler:
         Theorem 3's "no nodes have performed M-NDP yet" assumption for
         ``rounds=1``).  More rounds model the periodic re-initiation the
         paper describes: links formed by M-NDP enable further pairs.
-        Returns all pairs newly discovered across the rounds.
-        """
-        check_positive("rounds", rounds)
-        registry = _metrics()
-        if self._backend == "vectorized":
-            return self._discover_vectorized(
-                physical_pairs, logical, rounds, registry
-            )
-        discovered: Set[Pair] = set()
-        working = logical
-        for round_index in range(rounds):
-            pending = [
-                _ordered(a, b)
-                for a, b in physical_pairs
-                if not working.has_link(a, b)
-            ]
-            new_links = self._one_round(pending, working)
-            if registry.enabled:
-                registry.inc(_names.MNDP_ROUNDS)
-                registry.inc(_names.MNDP_PAIRS_ATTEMPTED, len(pending))
-                for hops in new_links.values():
-                    registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
-            if not new_links:
-                break
-            discovered.update(new_links)
-            if round_index == rounds - 1:
-                # The updated graph would never be read again; skip the
-                # copy + commit (the caller's graph is left untouched
-                # either way).
-                break
-            working = working.copy() if working is logical else working
-            for a, b in new_links:
-                working.add_link(a, b)
-        if registry.enabled:
-            registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
-        return discovered
-
-    def _discover_vectorized(
-        self,
-        physical_pairs: Sequence[Pair],
-        logical: LogicalGraph,
-        rounds: int,
-        registry,
-    ) -> Set[Pair]:
-        """Array-native form of the reference :meth:`discover` loop.
+        Returns all pairs newly discovered across the rounds, as
+        ``(low, high)`` index tuples; the caller's graph is not changed.
 
         The logical graph is scattered once into a link matrix (and,
         when relays are excluded, a separate relay matrix); each round
         screens the still-unlinked pairs, resolves their closure
-        distances, and commits new links in place — no per-round graph
-        copies, no per-pair ``has_link`` queries.  Metrics, results, and
-        first-occurrence pair deduplication match the reference.
+        distances, and commits new links in place.  A pair listed more
+        than once (in either orientation) resolves, and observes
+        metrics, once, at its first occurrence.
         """
+        check_positive("rounds", rounds)
+        registry = _metrics()
         n = logical.n_nodes
         raw = np.asarray(physical_pairs, dtype=np.int64).reshape(-1, 2)
         a_all = np.minimum(raw[:, 0], raw[:, 1])
@@ -320,8 +168,7 @@ class MNDPSampler:
         discovered: Set[Pair] = set()
         for round_index in range(rounds):
             pend = np.flatnonzero(~link[a_all, b_all])
-            # The reference keys new links by pair, so duplicates in
-            # physical_pairs resolve (and observe metrics) only once.
+            # Duplicates in physical_pairs resolve only once.
             keys = a_all[pend] * n + b_all[pend]
             first = np.unique(keys, return_index=True)[1]
             if first.size != pend.size:
@@ -406,73 +253,6 @@ class MNDPSampler:
                 )
         return dist
 
-    def _one_round(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Pairs connectable by a ``<= nu``-hop path in the current
-        graph, mapped to the hop distance of that path (in ``pending``
-        order)."""
-        if not pending:
-            return {}
-        if self._backend == "vectorized":
-            return self._one_round_vectorized(pending, logical)
-        return self._one_round_reference(pending, logical)
-
-    def _one_round_reference(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Per-source networkx shortest-path queries (the original)."""
-        sources = {a for a, _ in pending}
-        reach: Dict[int, Dict[int, int]] = {}
-        graph = logical
-        if self._exclude:
-            graph = self._without_excluded(logical)
-        for source in sources:
-            if source in self._exclude:
-                reach[source] = {}
-                continue
-            reach[source] = graph.within_hops(source, self._nu)
-        return {
-            (a, b): reach[a][b]
-            for a, b in pending
-            if b not in self._exclude and reach[a].get(b, 0) > 0
-        }
-
-    def _one_round_vectorized(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Packed-bitset bounded-hop closure.
-
-        A pair sits at distance ``L`` iff ``b`` is adjacent to some node
-        exactly ``L - 1`` hops from ``a`` and was not resolved at a
-        shallower level, so hop 1 is an adjacency lookup, hop 2 is one
-        AND/any over the packed adjacency rows of both endpoints, and
-        deeper hops expand per-source frontiers with OR-reduced packed
-        rows.  Bit-for-bit the same pairs/distances as the reference.
-        """
-        n = logical.n_nodes
-        n_pairs = len(pending)
-        a_arr = np.fromiter(
-            (a for a, _ in pending), dtype=np.int64, count=n_pairs
-        )
-        b_arr = np.fromiter(
-            (b for _, b in pending), dtype=np.int64, count=n_pairs
-        )
-        adj = np.zeros((n, n), dtype=bool)
-        edges = logical.edge_array()
-        if edges.size:
-            adj[edges[:, 0], edges[:, 1]] = True
-            adj[edges[:, 1], edges[:, 0]] = True
-        if self._exclude:
-            self._zero_excluded(adj)
-        valid = self._endpoint_valid(a_arr, b_arr, n)
-        dist = self._closure_distances(a_arr, b_arr, adj, valid)
-        result: Dict[Pair, int] = {}
-        for index, hops in enumerate(dist.tolist()):
-            if hops > 0:
-                result[pending[index]] = hops
-        return result
-
     def _deep_levels(
         self,
         a_arr: np.ndarray,
@@ -517,20 +297,6 @@ class MNDPSampler:
             )
             dist[remaining[hit]] = level
             remaining = remaining[~hit]
-
-    def _without_excluded(self, logical: LogicalGraph) -> LogicalGraph:
-        """The logical graph with excluded nodes unable to *relay*.
-
-        Excluded nodes keep their direct links but cannot sit inside a
-        path, so we drop them entirely and handle endpoint cases in the
-        caller (an excluded endpoint never discovers anyone via M-NDP).
-        """
-        clone = LogicalGraph(logical.n_nodes)
-        for a, b in logical.edges():
-            if a in self._exclude or b in self._exclude:
-                continue
-            clone.add_link(a, b)
-        return clone
 
 
 #: Pairs per chunk of the packed-row AND/any tests: bounds the gathered

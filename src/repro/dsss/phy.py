@@ -27,9 +27,9 @@ finer-grained backends below it:
 Both backends consume the *same* rng stream (offset draw, payload bits,
 jam-targeting coin, jam bits — in that order, per message); noise draws
 are the only divergence point, so at ``noise_std = 0`` the two backends
-produce bit-for-bit identical outcomes from a shared generator, exactly
-the ``compute_backend`` stream contract.  With noise they are
-distribution-identical, which ``tests/experiments`` checks statistically.
+produce bit-for-bit identical outcomes from a shared generator.  With
+noise they are distribution-identical, which ``tests/experiments``
+checks statistically.
 
 :class:`ChiplessModel` is the batched, draw-free form of the chipless
 backend: per-message success *probabilities* from the same per-bit

@@ -82,9 +82,7 @@ def _init_worker(
     strategy_value: Any,
     mndp_rounds: int,
     link_model: str,
-    correlation_backend: Optional[str],
     collect_metrics: bool,
-    compute_backend: str = "vectorized",
     phy_backend: Optional[str] = None,
 ) -> None:
     """Pool initializer: rebuild the experiment once per worker."""
@@ -95,9 +93,7 @@ def _init_worker(
         strategy=JammerStrategy(strategy_value),
         mndp_rounds=mndp_rounds,
         link_model=link_model,
-        correlation_backend=correlation_backend,
         collect_metrics=collect_metrics,
-        compute_backend=compute_backend,
         phy_backend=phy_backend,
     )
 
@@ -157,9 +153,7 @@ def run_parallel(
     strategy: JammerStrategy = JammerStrategy.REACTIVE,
     mndp_rounds: int = 1,
     link_model: str = "codes",
-    correlation_backend: Optional[str] = None,
     collect_metrics: bool = False,
-    compute_backend: str = "vectorized",
     run_indices: Optional[Sequence[int]] = None,
     phy_backend: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
@@ -173,11 +167,7 @@ def run_parallel(
     (the scheduler affinity mask where the platform exposes one, via
     :func:`~repro.experiments.pool.available_cpu_count`), capped at
     ``runs``.
-    Results are identical to ``NetworkExperiment(...).run(runs)``;
-    ``correlation_backend`` (when set) overrides the configured
-    chip-level backend in every worker, exactly as it does serially,
-    and ``compute_backend`` selects the snapshot-pipeline
-    implementation just like the serial constructor argument.
+    Results are identical to ``NetworkExperiment(...).run(runs)``.
     ``phy_backend`` (when set) overrides ``config.phy_backend`` in every
     worker, selecting the message / chip / chipless D-NDP sampling path.
 
@@ -231,9 +221,7 @@ def run_parallel(
         strategy_value=strategy.value,
         mndp_rounds=mndp_rounds,
         link_model=link_model,
-        correlation_backend=correlation_backend,
         collect_metrics=collect_metrics,
-        compute_backend=compute_backend,
         phy_backend=phy_backend,
     )
     if pool is not None:
@@ -252,9 +240,7 @@ def run_parallel(
                 strategy.value,
                 mndp_rounds,
                 link_model,
-                correlation_backend,
                 collect_metrics,
-                compute_backend,
                 phy_backend,
             )
             outcomes: List[_Outcome] = [

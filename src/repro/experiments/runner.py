@@ -29,7 +29,7 @@ from repro.adversary.compromise import CompromiseModel
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
 from repro.core.dndp import DNDPSampler
-from repro.core.mndp import COMPUTE_BACKENDS, LogicalGraph, MNDPSampler
+from repro.core.mndp import LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, MetricsSnapshot, current, installed
 from repro.obs import names as _names
@@ -234,25 +234,11 @@ class NetworkExperiment:
         authors' plotted M-NDP behaviour (notably Fig. 5(a)'s strong
         dependence on nu) and is almost certainly what their C++
         simulator did.  See EXPERIMENTS.md for the comparison.
-    correlation_backend:
-        When set, overrides ``config.correlation_backend`` for every
-        chip-level receiver built from this experiment's configuration
-        (event-driven validation runs, ``JRSNDNode.build_synchronizer``).
-        The message-level sampling itself is backend-independent.
     collect_metrics:
         Capture a per-run :class:`~repro.obs.MetricsSnapshot` on every
         :class:`RunResult` (and forward it to any registry installed in
         the calling process).  Off by default; the layers then report
         into the no-op registry at negligible cost.
-    compute_backend:
-        ``"vectorized"`` (default) runs the snapshot pipeline on the
-        NumPy implementations: strip-bucketed neighbor search, the
-        inverse-permutation assignment, shared-code counts from the
-        ``n x m`` code array, and the packed-bitset M-NDP closure.
-        ``"reference"`` keeps the original per-item loops and the dense
-        node-by-code membership sweep as the in-tree oracle.  Both
-        backends consume identical rng streams and produce identical
-        :class:`RunResult` values.
     phy_backend:
         When set, overrides ``config.phy_backend`` for the D-NDP
         sampling step (``"codes"`` link model only): ``"message"``
@@ -274,9 +260,7 @@ class NetworkExperiment:
         mndp_rounds: int = 1,
         sample_latency: bool = False,
         link_model: str = "codes",
-        correlation_backend: Optional[str] = None,
         collect_metrics: bool = False,
-        compute_backend: str = "vectorized",
         phy_backend: Optional[str] = None,
     ) -> None:
         check_positive("mndp_rounds", mndp_rounds)
@@ -291,15 +275,6 @@ class NetworkExperiment:
                 f"link_model must be 'codes' or 'independent', "
                 f"got {link_model!r}"
             )
-        if compute_backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"compute_backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {compute_backend!r}"
-            )
-        if correlation_backend is not None:
-            # replace() re-validates, so an unknown backend fails here
-            # rather than deep inside a worker process.
-            config = config.replace(correlation_backend=correlation_backend)
         if phy_backend is not None:
             config = config.replace(phy_backend=phy_backend)
         self._config = config
@@ -309,7 +284,6 @@ class NetworkExperiment:
         self._sample_latency = bool(sample_latency)
         self._link_model = link_model
         self._collect_metrics = bool(collect_metrics)
-        self._compute_backend = compute_backend
 
     @property
     def config(self) -> JRSNDConfig:
@@ -320,11 +294,6 @@ class NetworkExperiment:
     def collect_metrics(self) -> bool:
         """Whether runs carry per-run metric snapshots."""
         return self._collect_metrics
-
-    @property
-    def compute_backend(self) -> str:
-        """The snapshot-pipeline implementation in use."""
-        return self._compute_backend
 
     def run(self, runs: int = 1) -> ExperimentResult:
         """Execute ``runs`` independent snapshots."""
@@ -363,9 +332,7 @@ class NetworkExperiment:
         positions = uniform_positions(
             field, config.n_nodes, seeds.rng("placement")
         )
-        pairs = field.neighbor_pairs(
-            positions, backend=self._compute_backend
-        )
+        pairs = field.neighbor_pairs(positions)
         mean_degree = (
             2.0 * len(pairs) / config.n_nodes if config.n_nodes else 0.0
         )
@@ -373,9 +340,7 @@ class NetworkExperiment:
         distributor = PreDistributor(
             config.n_nodes, config.codes_per_node, config.share_count
         )
-        assignment = distributor.assign(
-            seeds.rng("assignment"), backend=self._compute_backend
-        )
+        assignment = distributor.assign(seeds.rng("assignment"))
 
         compromise = CompromiseModel(assignment).compromise_random(
             config.n_compromised, seeds.rng("compromise")
@@ -400,19 +365,10 @@ class NetworkExperiment:
                 pair_array, assignment, jamming, seeds.rng("jamming")
             )
         logical = LogicalGraph(config.n_nodes)
-        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
-        if self._compute_backend == "vectorized":
-            logical.add_links(pair_array[direct])
-            recovered = mndp.discover(
-                pair_array, logical, rounds=self._mndp_rounds
-            )
-        else:
-            for (a, b), success in zip(pairs, direct):
-                if success:
-                    logical.add_link(a, b)
-            recovered = mndp.discover(
-                pairs, logical, rounds=self._mndp_rounds
-            )
+        logical.add_links(pair_array[direct])
+        recovered = MNDPSampler(config.nu).discover(
+            pair_array, logical, rounds=self._mndp_rounds
+        )
 
         mean_latency = None
         dndp_successes = int(np.count_nonzero(direct))
@@ -512,36 +468,14 @@ class NetworkExperiment:
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """``(start, safe_count, comp_count)`` per chunk of ``_CHUNK``
         pairs: how many codes each pair shares that the jammer does not
-        and does know.
-
-        The ``"vectorized"`` backend compares the assignment's code rows
-        (:func:`shared_code_counts`); ``"reference"`` ANDs rows of the
-        dense node-by-code membership matrix.  Chunk boundaries are the
-        same on both, so callers draw the same rng stream.
-        """
+        and does know (:func:`shared_code_counts`)."""
         pair_array = np.asarray(pairs, dtype=np.int64)
         compromised = compromised_mask(assignment.pool_size, jamming)
-        if self._compute_backend == "vectorized":
-            for start in range(0, len(pair_array), _CHUNK):
-                yield (start, *shared_code_counts(
-                    assignment.codes, compromised,
-                    pair_array[start : start + _CHUNK],
-                ))
-            return
-        membership = np.zeros(
-            (assignment.n_nodes, assignment.pool_size), dtype=bool
-        )
-        membership[
-            np.arange(assignment.n_nodes)[:, None], assignment.codes
-        ] = True
         for start in range(0, len(pair_array), _CHUNK):
-            chunk = pair_array[start : start + _CHUNK]
-            shared = membership[chunk[:, 0]] & membership[chunk[:, 1]]
-            yield (
-                start,
-                (shared & ~compromised).sum(axis=1),
-                (shared & compromised).sum(axis=1),
-            )
+            yield (start, *shared_code_counts(
+                assignment.codes, compromised,
+                pair_array[start : start + _CHUNK],
+            ))
 
     def _sample_dndp_chipless(
         self,

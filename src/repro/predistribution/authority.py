@@ -175,9 +175,7 @@ class PreDistributor:
         """Pool codes consumed: ``s = w * m``."""
         return self._w * self._m
 
-    def assign(
-        self, rng: np.random.Generator, backend: str = "vectorized"
-    ) -> CodeAssignment:
+    def assign(self, rng: np.random.Generator) -> CodeAssignment:
         """Run the ``m`` rounds and return the assignment.
 
         Virtual node slots participate in the partition but their codes
@@ -185,40 +183,11 @@ class PreDistributor:
         up shared by fewer than ``l`` real nodes — the behaviour the
         paper describes as "not affect the performance very much".
 
-        Both backends consume exactly one ``rng.permutation`` per round
-        and build identical assignments; ``"reference"`` keeps the
-        original per-subset loops, ``"vectorized"`` (default) derives
-        each node's subset from the inverse permutation.
+        Each round consumes exactly one ``rng.permutation``; a node
+        landing at position ``p`` of it joins subset ``p // l``, so one
+        scatter through the inverse permutation yields every node's
+        code for the round.
         """
-        from repro.core.mndp import COMPUTE_BACKENDS
-
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"assign backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        if backend == "reference":
-            return self._assign_reference(rng)
-        return self._assign_vectorized(rng)
-
-    def _assign_reference(self, rng: np.random.Generator) -> CodeAssignment:
-        total = self._n + self._n_virtual
-        codes = np.empty((self._n, self._m), dtype=np.int64)
-        for round_index in range(self._m):
-            order = rng.permutation(total)
-            for subset_index in range(self._w):
-                members = order[
-                    subset_index * self._l : (subset_index + 1) * self._l
-                ]
-                codes[members[members < self._n], round_index] = (
-                    self._w * round_index + subset_index
-                )
-        return CodeAssignment(codes, self.pool_size)
-
-    def _assign_vectorized(self, rng: np.random.Generator) -> CodeAssignment:
-        """Inverse-permutation form of :meth:`_assign_reference`: a node
-        lands in subset ``position // l``, so one scatter per round
-        yields every node's code."""
         total = self._n + self._n_virtual
         codes = np.empty((self._n, self._m), dtype=np.int64)
         position_of = np.empty(total, dtype=np.int64)

@@ -2,8 +2,8 @@
 
 The paper's evaluation places 2000 nodes uniformly in a 5000 x 5000 m
 field with a 300 m transmission range.  :class:`RectangularField` answers
-range queries with a uniform grid (cell size = range), making the
-physical-neighbor graph of a 2000-node snapshot cheap to build.
+range queries with strips one range wide, making the physical-neighbor
+graph of a 2000-node snapshot cheap to build.
 
 :func:`lens_overlap_fraction` is the geometric constant of Theorem 3:
 two circles of radius ``a`` whose centers are at most ``a`` apart overlap
@@ -14,7 +14,6 @@ fraction ``1 - 3*sqrt(3) / (4 pi)`` of one disc's area.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -102,59 +101,18 @@ class RectangularField:
         return (n_nodes - 1) * math.pi * self._range**2 / self.area
 
     def neighbor_pairs(
-        self, positions: Sequence[Position], backend: str = "vectorized"
-    ) -> List[Tuple[int, int]]:
-        """All index pairs ``(i, j), i < j`` within transmission range.
-
-        ``"vectorized"`` (default) screens chunked squared distances and
-        confirms the boundary with the same correctly-rounded hypot the
-        reference uses; ``"reference"`` is the original grid-bucketed
-        loop.  Both return the same sorted list of int tuples.
-        """
-        from repro.core.mndp import COMPUTE_BACKENDS
-
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"neighbor_pairs backend must be one of "
-                f"{COMPUTE_BACKENDS}, got {backend!r}"
-            )
-        if backend == "vectorized":
-            return self._neighbor_pairs_vectorized(positions)
-        return self._neighbor_pairs_reference(positions)
-
-    def _neighbor_pairs_reference(
         self, positions: Sequence[Position]
     ) -> List[Tuple[int, int]]:
-        """Grid-bucketed: O(n) expected for uniform placements."""
-        cell = self._range
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for index, position in enumerate(positions):
-            key = (int(position[0] // cell), int(position[1] // cell))
-            buckets[key].append(index)
-        pairs: List[Tuple[int, int]] = []
-        for (cx, cy), members in buckets.items():
-            candidates: List[int] = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    candidates.extend(buckets.get((cx + dx, cy + dy), ()))
-            for i in members:
-                for j in candidates:
-                    if j > i and self.in_range(positions[i], positions[j]):
-                        pairs.append((i, j))
-        return sorted(set(pairs))
-
-    def _neighbor_pairs_vectorized(
-        self, positions: Sequence[Position]
-    ) -> List[Tuple[int, int]]:
-        """Strip-bucketed squared-distance sweep.
+        """All index pairs ``(i, j), i < j`` within transmission range,
+        as a sorted list of int tuples.
 
         Nodes are bucketed into vertical strips of width ``tx_range``
-        (any in-range pair sits in the same or adjacent strips, like the
-        reference's grid cells) and each strip is swept against itself
-        and its right neighbor with one dense squared-distance screen.
-        Survivors are confirmed with ``np.hypot``, the correctly-rounded
-        double the reference's ``math.hypot`` computes, so the boundary
-        decision is bit-identical.
+        (any in-range pair sits in the same or adjacent strips) and each
+        strip is swept against itself and its right neighbor with one
+        dense squared-distance screen.  Survivors are confirmed with
+        ``np.hypot``, the correctly-rounded double :meth:`in_range`'s
+        ``math.hypot`` computes, so the boundary decision matches it
+        bit for bit.
         """
         n = len(positions)
         if n < 2:

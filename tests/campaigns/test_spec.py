@@ -90,6 +90,31 @@ class TestHashing:
         assert again.spec_hash() == spec.spec_hash()
 
 
+class TestLegacyComputeBackendKey:
+    """Specs keep the ``compute_backend`` key from when it chose between
+    two snapshot pipelines; stored spec hashes depend on it."""
+
+    BASE = {"name": "legacy", "seed": 3, "runs_per_point": 2}
+
+    def test_key_present_or_absent_gives_the_same_spec(self):
+        with_key = CampaignSpec.from_dict(
+            dict(self.BASE, compute_backend="vectorized")
+        )
+        without_key = CampaignSpec.from_dict(self.BASE)
+        assert with_key.to_json() == without_key.to_json()
+        assert with_key.spec_hash() == without_key.spec_hash()
+        assert '"compute_backend":"vectorized"' in with_key.to_json()
+
+    @pytest.mark.parametrize("value", ["reference", "cuda", None])
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(ConfigurationError, match="removed"):
+            CampaignSpec.from_dict(dict(self.BASE, compute_backend=value))
+
+    def test_default_spec_hash_is_unchanged(self):
+        spec = CampaignSpec(name="default", seed=0, runs_per_point=1)
+        assert spec.spec_hash() == "9141649403030eb9"
+
+
 class TestExpansion:
     def test_point_count_is_cartesian_product(self):
         spec = tiny_spec(grid={"n_compromised": [5, 10], "nu": [1, 2, 3]})

@@ -1,5 +1,6 @@
 """Unit tests for the M-NDP graph model and chain validation."""
 
+import numpy as np
 import pytest
 
 from repro.core.messages import MNDPExtension, MNDPRequest, MNDPResponse
@@ -12,72 +13,65 @@ from repro.core.mndp import (
 from repro.crypto.identity import TrustedAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, installed
+from repro.obs import names as _names
+
+
+def _edges(graph):
+    return {tuple(sorted(edge)) for edge in graph.edge_array().tolist()}
+
+
+def _recovery_hops(sampler, pairs, logical):
+    """Hop counts the closure recorded, in pending-pair order."""
+    registry = MetricsRegistry()
+    with installed(registry):
+        sampler.discover(pairs, logical)
+    return registry.snapshot().histograms[_names.MNDP_RECOVERY_HOPS].values
 
 
 class TestLogicalGraph:
     def test_links(self):
         graph = LogicalGraph(5)
         graph.add_link(0, 1)
-        assert graph.has_link(0, 1)
-        assert graph.has_link(1, 0)
-        assert not graph.has_link(0, 2)
-        assert graph.n_edges == 1
+        assert graph.n_nodes == 5
+        assert _edges(graph) == {(0, 1)}
+        assert graph.edge_array().shape == (1, 2)
 
     def test_self_link_rejected(self):
         with pytest.raises(ConfigurationError):
             LogicalGraph(3).add_link(1, 1)
 
-    def test_neighbors(self):
-        graph = LogicalGraph(4)
-        graph.add_link(0, 1)
-        graph.add_link(0, 2)
-        assert graph.neighbors(0) == {1, 2}
-
     def test_within_hops(self):
+        # Chain 0-1-2-3-4: with nu = 2 only node 2 is newly within
+        # reach of node 0 (1 already is a logical neighbor).
         graph = LogicalGraph(5)
         for a, b in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             graph.add_link(a, b)
-        reach = graph.within_hops(0, 2)
-        assert reach == {0: 0, 1: 1, 2: 2}
+        pairs = [(0, j) for j in range(1, 5)]
+        assert MNDPSampler(nu=2).discover(pairs, graph) == {(0, 2)}
 
     def test_hop_distance(self):
         graph = LogicalGraph(4)
         graph.add_link(0, 1)
         graph.add_link(1, 2)
-        assert graph.hop_distance(0, 2, 3) == 2
-        assert graph.hop_distance(0, 3, 3) == 0  # unreachable
-
-    def test_copy_independent(self):
-        graph = LogicalGraph(3)
-        graph.add_link(0, 1)
-        clone = graph.copy()
-        clone.add_link(1, 2)
-        assert not graph.has_link(1, 2)
+        sampler = MNDPSampler(nu=3)
+        assert _recovery_hops(sampler, [(0, 2), (0, 3)], graph) == (2,)
 
     def test_isolated_nodes_answer_queries(self):
-        # The networkx graph is built lazily, on the first query, and
-        # must still hold every node, linked or not.
         graph = LogicalGraph(6)
         graph.add_links([(0, 1), (1, 2)])
         graph.add_link(3, 4)
-        assert graph.n_edges == 3
-        assert graph.neighbors(5) == set()
-        assert graph.within_hops(5, 2) == {5: 0}
-        assert graph.edges() == {(0, 1), (1, 2), (3, 4)}
-        assert LogicalGraph(4).neighbors(3) == set()
-        assert LogicalGraph(4).n_edges == 0
+        assert _edges(graph) == {(0, 1), (1, 2), (3, 4)}
+        empty = LogicalGraph(4).edge_array()
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
     def test_links_added_after_first_query(self):
         graph = LogicalGraph(5)
         graph.add_link(0, 1)
-        assert graph.within_hops(0, 3) == {0: 0, 1: 1}
+        assert _edges(graph) == {(0, 1)}
         graph.add_links([(1, 2)])
         graph.add_link(2, 3)
-        assert graph.within_hops(0, 3) == {0: 0, 1: 1, 2: 2, 3: 3}
-        clone = graph.copy()
-        clone.add_links([(3, 4)])
-        assert clone.has_link(3, 4)
-        assert not graph.has_link(3, 4)
+        assert _edges(graph) == {(0, 1), (1, 2), (2, 3)}
 
 
 class TestMNDPSampler:

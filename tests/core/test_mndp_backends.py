@@ -1,11 +1,14 @@
-"""Reference vs vectorized M-NDP closure equivalence."""
+"""The M-NDP closure against the networkx shortest-path oracle."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.mndp import LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, installed
+from tests import oracles
 
 
 def _random_instance(rnd):
@@ -23,137 +26,119 @@ def _random_instance(rnd):
     return n, graph, pairs
 
 
+def _recorded(discover, sampler, pairs, graph, rounds):
+    """``(discovered, metrics snapshot)`` of one closure call."""
+    registry = MetricsRegistry()
+    with installed(registry):
+        discovered = discover(sampler, pairs, graph, rounds=rounds)
+    return discovered, registry.snapshot()
+
+
+def _edges(graph):
+    return {tuple(sorted(edge)) for edge in graph.edge_array().tolist()}
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("nu", [1, 2, 3, 5])
     def test_one_round_identical_dicts(self, nu):
+        # One round's outcome is a pair -> hop-count map in pending
+        # order: the discovered set carries the pairs, and the
+        # mndp.recovery_hops histogram the hop counts in that order.
         rnd = random.Random(500 + nu)
         for _ in range(40):
             n, graph, pairs = _random_instance(rnd)
             exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            reference = MNDPSampler(
-                nu, exclude=exclude, backend="reference"
+            sampler = MNDPSampler(nu, exclude=exclude)
+            want, want_metrics = _recorded(
+                oracles.discover, sampler, pairs, graph, 1
             )
-            vectorized = MNDPSampler(
-                nu, exclude=exclude, backend="vectorized"
+            got, got_metrics = _recorded(
+                MNDPSampler.discover, sampler, pairs, graph, 1
             )
-            pending = [p for p in pairs if not graph.has_link(*p)]
-            want = reference._one_round(pending, graph)
-            got = vectorized._one_round(pending, graph)
-            # Same pairs, same hop counts, same (pending) order — the
-            # order feeds the mndp.recovery_hops histogram.
-            assert list(want.items()) == list(got.items())
+            assert want == got
+            assert want_metrics.histograms == got_metrics.histograms
 
     def test_discover_identical_over_rounds(self):
         rnd = random.Random(900)
         for _ in range(30):
             n, graph, pairs = _random_instance(rnd)
             rounds = rnd.randrange(1, 4)
-            want = MNDPSampler(2, backend="reference").discover(
-                pairs, graph, rounds=rounds
-            )
-            got = MNDPSampler(2, backend="vectorized").discover(
-                pairs, graph, rounds=rounds
-            )
+            sampler = MNDPSampler(2)
+            want = oracles.discover(sampler, pairs, graph, rounds=rounds)
+            got = sampler.discover(pairs, graph, rounds=rounds)
             assert want == got
 
     def test_discover_leaves_caller_graph_untouched(self):
         graph = LogicalGraph(4)
         graph.add_link(0, 1)
         graph.add_link(1, 2)
-        edges_before = graph.edges()
+        edges_before = _edges(graph)
         recovered = MNDPSampler(2).discover(
             [(0, 2), (0, 3)], graph, rounds=3
         )
         assert recovered == {(0, 2)}
-        assert graph.edges() == edges_before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MNDPSampler(2, backend="gpu")
-
-    def test_backend_property(self):
-        assert MNDPSampler(2).backend == "vectorized"
-        assert MNDPSampler(2, backend="reference").backend == "reference"
+        assert _edges(graph) == edges_before
 
     def test_discover_with_excludes_and_duplicates(self):
-        # Duplicate and reversed pairs must resolve once (dict-key
-        # semantics of the reference), and excluded nodes must neither
-        # relay nor discover.
+        # Duplicate and reversed pairs must resolve once, and excluded
+        # nodes must neither relay nor discover.
         rnd = random.Random(77)
         for _ in range(25):
             n, graph, pairs = _random_instance(rnd)
             noisy = pairs + [(b, a) for a, b in pairs[::2]] + pairs[:3]
-            exclude = rnd.sample(range(n), rnd.randrange(0, 4))
-            want = MNDPSampler(
-                3, exclude=exclude, backend="reference"
-            ).discover(noisy, graph, rounds=2)
-            got = MNDPSampler(
-                3, exclude=exclude, backend="vectorized"
-            ).discover(noisy, graph, rounds=2)
+            sampler = MNDPSampler(
+                3, exclude=rnd.sample(range(n), rnd.randrange(0, 4))
+            )
+            want = oracles.discover(sampler, noisy, graph, rounds=2)
+            got = sampler.discover(noisy, graph, rounds=2)
             assert want == got
 
     def test_discover_metrics_identical(self):
-        from repro.obs import MetricsRegistry, installed
-
         rnd = random.Random(4242)
         for _ in range(10):
             n, graph, pairs = _random_instance(rnd)
-            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            snapshots = {}
-            for backend in ("reference", "vectorized"):
-                registry = MetricsRegistry()
-                with installed(registry):
-                    MNDPSampler(
-                        3, exclude=exclude, backend=backend
-                    ).discover(pairs, graph, rounds=3)
-                snapshots[backend] = registry.snapshot()
-            want, got = snapshots["reference"], snapshots["vectorized"]
+            sampler = MNDPSampler(
+                3, exclude=rnd.sample(range(n), rnd.randrange(0, 3))
+            )
+            _, want = _recorded(oracles.discover, sampler, pairs, graph, 3)
+            _, got = _recorded(
+                MNDPSampler.discover, sampler, pairs, graph, 3
+            )
             assert want.counters == got.counters
             assert want.histograms == got.histograms
+
+    def test_unknown_backend_rejected(self):
+        # There is one closure; a caller still naming a backend fails
+        # loudly instead of having the choice ignored.
+        with pytest.raises(TypeError):
+            MNDPSampler(2, backend="gpu")
 
 
 class TestLogicalGraphBulk:
     def test_add_links_matches_add_link(self):
-        import numpy as np
-
         one = LogicalGraph(6)
         for a, b in [(0, 1), (1, 2), (4, 5)]:
             one.add_link(a, b)
         bulk = LogicalGraph(6)
         bulk.add_links(np.array([[0, 1], [1, 2], [4, 5]]))
-        assert bulk.edges() == one.edges()
-        assert bulk.n_edges == 3
-        assert bulk.has_link(1, 2)
-        assert bulk.neighbors(1) == {0, 2}
+        np.testing.assert_array_equal(bulk.edge_array(), one.edge_array())
+        assert _edges(bulk) == {(0, 1), (1, 2), (4, 5)}
 
     def test_add_links_accepts_iterables_and_empty(self):
         graph = LogicalGraph(4)
         graph.add_links([(0, 1), (2, 3)])
         graph.add_links([])
-        assert graph.edges() == {(0, 1), (2, 3)}
+        assert _edges(graph) == {(0, 1), (2, 3)}
 
     def test_add_links_rejects_self_loops(self):
         graph = LogicalGraph(4)
         with pytest.raises(ConfigurationError):
             graph.add_links([(0, 1), (2, 2)])
         # The rejected batch left no partial state behind.
-        assert graph.edges() == set()
+        assert _edges(graph) == set()
 
     def test_edge_array_covers_both_insert_paths(self):
-        import numpy as np
-
         graph = LogicalGraph(5)
         graph.add_link(0, 1)
         graph.add_links(np.array([[1, 2], [3, 4]]))
-        recorded = {
-            tuple(sorted(edge)) for edge in graph.edge_array().tolist()
-        }
-        assert recorded == {(0, 1), (1, 2), (3, 4)}
-
-    def test_copy_preserves_buffered_links(self):
-        graph = LogicalGraph(4)
-        graph.add_links([(0, 1)])
-        clone = graph.copy()
-        clone.add_links([(2, 3)])
-        assert clone.edges() == {(0, 1), (2, 3)}
-        assert graph.edges() == {(0, 1)}
+        assert _edges(graph) == {(0, 1), (1, 2), (3, 4)}

@@ -1,18 +1,17 @@
-"""End-to-end equivalence of the experiment compute backends.
+"""End-to-end equivalence of the snapshot pipeline and its oracles.
 
-The ``compute_backend`` knob swaps the snapshot pipeline between the
-original per-item loops and the packed/NumPy implementations; both must
-consume identical rng streams and produce identical results, run
-results, and instrumented counters.
+Inside :func:`tests.oracles.reference_pipeline` every snapshot runs its
+neighbor search, pre-distribution, shared-code counts and M-NDP closure
+on the plain-loop reference forms.  Both must consume identical rng
+streams and produce identical run results and instrumented metrics.
 """
 
 import pytest
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
-from repro.errors import ConfigurationError
-from repro.experiments.parallel import run_parallel
 from repro.experiments.runner import NetworkExperiment
+from tests.oracles import reference_pipeline
 
 
 def _small_config() -> JRSNDConfig:
@@ -27,60 +26,37 @@ def _small_config() -> JRSNDConfig:
     )
 
 
+def _both(runs, **kwargs):
+    """``(reference, production)`` results of the same experiment."""
+    with reference_pipeline():
+        reference = NetworkExperiment(_small_config(), **kwargs).run(runs)
+    production = NetworkExperiment(_small_config(), **kwargs).run(runs)
+    return reference, production
+
+
+def _assert_metrics_equal(want, got):
+    want, got = want.merged_metrics(), got.merged_metrics()
+    assert want.counters == got.counters
+    assert want.histograms.keys() == got.histograms.keys()
+    for name in want.histograms:
+        assert want.histograms[name] == got.histograms[name], name
+
+
 class TestComputeBackendEquivalence:
     @pytest.mark.parametrize(
         "strategy", [JammerStrategy.REACTIVE, JammerStrategy.RANDOM]
     )
     def test_run_results_identical(self, strategy):
-        config = _small_config()
-        reference = NetworkExperiment(
-            config, seed=31, strategy=strategy,
-            compute_backend="reference", collect_metrics=True,
-        ).run(3)
-        vectorized = NetworkExperiment(
-            config, seed=31, strategy=strategy,
-            compute_backend="vectorized", collect_metrics=True,
-        ).run(3)
-        assert reference == vectorized
+        for phy in ("message", "chipless"):
+            reference, production = _both(
+                3, seed=31, strategy=strategy, phy_backend=phy,
+                mndp_rounds=2, collect_metrics=True,
+            )
+            assert reference == production, phy
+            _assert_metrics_equal(reference, production)
 
     def test_instrumented_counters_identical(self):
-        config = _small_config()
-        kwargs = dict(seed=5, mndp_rounds=2, collect_metrics=True)
-        reference = NetworkExperiment(
-            config, compute_backend="reference", **kwargs
-        ).run(2)
-        vectorized = NetworkExperiment(
-            config, compute_backend="vectorized", **kwargs
-        ).run(2)
-        want = reference.merged_metrics()
-        got = vectorized.merged_metrics()
-        assert want.counters == got.counters
-        assert want.histograms.keys() == got.histograms.keys()
-        for name in want.histograms:
-            assert want.histograms[name] == got.histograms[name], name
-
-    def test_parallel_matches_serial_per_backend(self):
-        config = _small_config()
-        for backend in ("reference", "vectorized"):
-            serial = NetworkExperiment(
-                config, seed=13, compute_backend=backend,
-                collect_metrics=True,
-            ).run(4)
-            parallel = run_parallel(
-                config, seed=13, runs=4, processes=2,
-                compute_backend=backend, collect_metrics=True,
-            )
-            assert serial == parallel
-            assert (
-                serial.merged_metrics().counters
-                == parallel.merged_metrics().counters
-            )
-
-    def test_backend_property_and_validation(self):
-        config = _small_config()
-        assert (
-            NetworkExperiment(config, seed=1).compute_backend
-            == "vectorized"
+        reference, production = _both(
+            2, seed=5, mndp_rounds=2, collect_metrics=True
         )
-        with pytest.raises(ConfigurationError):
-            NetworkExperiment(config, seed=1, compute_backend="cuda")
+        _assert_metrics_equal(reference, production)

@@ -29,6 +29,7 @@ from repro.core.dndp import DNDPSampler
 from repro.dsss.phy import make_pair_phy
 from repro.dsss.spread_code import CodePool
 from repro.experiments.runner import NetworkExperiment
+from tests.oracles import reference_pipeline
 
 N_COMPROMISED_CODES = 20
 POOL_SEED = 424242
@@ -239,13 +240,12 @@ class TestRunnerLevel:
     def test_chipless_reference_equals_vectorized(self):
         config = self._micro_config(phy_backend="chipless")
         for strategy in (JammerStrategy.REACTIVE, JammerStrategy.RANDOM):
-            reference = NetworkExperiment(
-                config, seed=3, strategy=strategy,
-                compute_backend="reference",
-            ).run(3)
+            with reference_pipeline():
+                reference = NetworkExperiment(
+                    config, seed=3, strategy=strategy
+                ).run(3)
             vectorized = NetworkExperiment(
-                config, seed=3, strategy=strategy,
-                compute_backend="vectorized",
+                config, seed=3, strategy=strategy
             ).run(3)
             assert reference == vectorized
 

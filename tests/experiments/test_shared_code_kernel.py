@@ -1,13 +1,14 @@
 """The shared-code-count kernel against the dense boolean sweep.
 
-The ``vectorized`` backend counts each pair's shared codes from the
-assignment's ``n x m`` code array; the ``reference`` backend ANDs rows
-of a dense node-by-code membership matrix.  These tests check the two
-pair by pair, the sampled outcomes they lead to, the round invariant
-the kernel relies on, and that the kernel's memory grows linearly in
-``n`` rather than quadratically.
+The runner counts each pair's shared codes from the assignment's
+``n x m`` code array; the oracle in :mod:`tests.oracles` ANDs rows of a
+dense node-by-code membership matrix.  These tests check the two pair
+by pair, the sampled outcomes they lead to, the round invariant the
+kernel relies on, and that the kernel's memory grows linearly in ``n``
+rather than quadratically.
 """
 
+import contextlib
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from repro.experiments.runner import (
 from repro.predistribution.authority import PreDistributor
 from repro.sim.field import RectangularField
 from repro.sim.mobility import uniform_positions
+from tests import oracles
 
 #: 250 nodes with l = 12: w = 21 subsets, so 2 virtual nodes pad each
 #: round.
@@ -103,13 +105,8 @@ def _jamming(config, compromise, strategy):
     )
 
 
-def _experiments(config, strategy):
-    return [
-        NetworkExperiment(
-            config, seed=0, strategy=strategy, compute_backend=backend
-        )
-        for backend in ("reference", "vectorized")
-    ]
+#: Pairs per D-NDP sweep chunk, part of the runner's rng contract.
+CHUNK = 4096
 
 
 class TestRoundInvariant:
@@ -128,12 +125,16 @@ class TestPairExactCounts:
     def test_kernel_matches_boolean_sweep(self, case, strategy):
         config, assignment, compromise, pairs = case
         jamming = _jamming(config, compromise, strategy)
-        reference, vectorized = _experiments(config, strategy)
-        want = list(
-            reference._shared_code_counts(pairs, assignment, jamming)
-        )
+        experiment = NetworkExperiment(config, seed=0, strategy=strategy)
+        compromised = compromised_mask(assignment.pool_size, jamming)
+        want = [
+            (start, *oracles.shared_code_counts(
+                assignment.codes, compromised, pairs[start : start + CHUNK]
+            ))
+            for start in range(0, len(pairs), CHUNK)
+        ]
         got = list(
-            vectorized._shared_code_counts(pairs, assignment, jamming)
+            experiment._shared_code_counts(pairs, assignment, jamming)
         )
         assert len(want) == len(got) == 3
         for (start_w, safe_w, comp_w), (start_g, safe_g, comp_g) in zip(
@@ -174,14 +175,16 @@ class TestPairExactOutcomes:
         config, assignment, compromise, pairs = case
         config = config.replace(phy_backend=phy)
         jamming = _jamming(config, compromise, strategy)
+        experiment = NetworkExperiment(config, seed=0, strategy=strategy)
+        sample = (
+            experiment._sample_dndp_chipless if phy == "chipless"
+            else experiment._sample_dndp
+        )
         outcomes = []
-        for experiment in _experiments(config, strategy):
-            sample = (
-                experiment._sample_dndp_chipless if phy == "chipless"
-                else experiment._sample_dndp
-            )
+        for pipeline in (oracles.reference_pipeline, contextlib.nullcontext):
             rng = np.random.default_rng(11)
-            outcomes.append(sample(pairs, assignment, jamming, rng))
+            with pipeline():
+                outcomes.append(sample(pairs, assignment, jamming, rng))
             # Same rng consumption, too.
             outcomes.append(rng.integers(0, 1 << 30, size=4))
         np.testing.assert_array_equal(outcomes[0], outcomes[2])

@@ -1,10 +1,10 @@
-"""Reference vs vectorized pre-distribution assignment equivalence."""
+"""Pre-distribution assignment against the per-subset loop oracle."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.predistribution.authority import PreDistributor
+from tests import oracles
 
 
 class TestAssignBackends:
@@ -20,12 +20,8 @@ class TestAssignBackends:
     def test_identical_assignments(self, n, m, l):
         distributor = PreDistributor(n, m, l)
         for seed in (0, 1, 99):
-            want = distributor.assign(
-                np.random.default_rng(seed), backend="reference"
-            )
-            got = distributor.assign(
-                np.random.default_rng(seed), backend="vectorized"
-            )
+            want = oracles.assign(distributor, np.random.default_rng(seed))
+            got = distributor.assign(np.random.default_rng(seed))
             assert want.node_codes == got.node_codes
             assert want.code_holders == got.code_holders
             # Key insertion order matters for deterministic iteration.
@@ -33,13 +29,13 @@ class TestAssignBackends:
             assert want.pool_size == got.pool_size
 
     def test_same_rng_stream_consumption(self):
-        # Both backends draw exactly one permutation per round, so a
-        # draw made *after* assign must agree between them.
+        # Both draw exactly one permutation per round, so a draw made
+        # *after* assign must agree between them.
         distributor = PreDistributor(23, 5, 4)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        distributor.assign(rng_a, backend="reference")
-        distributor.assign(rng_b, backend="vectorized")
+        oracles.assign(distributor, rng_a)
+        distributor.assign(rng_b)
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
     def test_node_codes_are_python_ints(self):
@@ -52,7 +48,9 @@ class TestAssignBackends:
             assert all(type(node) is int for node in holders)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # There is one assignment; a caller still naming a backend
+        # fails loudly instead of having the choice ignored.
+        with pytest.raises(TypeError):
             PreDistributor(9, 2, 3).assign(
                 np.random.default_rng(0), backend="fast"
             )

@@ -1,10 +1,10 @@
-"""Reference vs vectorized neighbor-pair search equivalence."""
+"""Neighbor-pair search against the grid-bucketed oracle."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.sim.field import RectangularField
+from tests import oracles
 
 
 class TestNeighborPairBackends:
@@ -22,17 +22,18 @@ class TestNeighborPairBackends:
                     rng.uniform(0, width, n), rng.uniform(0, height, n)
                 )
             ]
-            want = field.neighbor_pairs(positions, backend="reference")
-            got = field.neighbor_pairs(positions, backend="vectorized")
+            want = oracles.neighbor_pairs(field, positions)
+            got = field.neighbor_pairs(positions)
             assert want == got
 
     def test_boundary_distance_agrees(self):
-        # Two nodes exactly tx_range apart: both backends use the same
-        # correctly-rounded hypot, so the boundary decision matches.
+        # Two nodes exactly tx_range apart: the search and the oracle
+        # use the same correctly-rounded hypot, so the boundary
+        # decision matches.
         field = RectangularField(100.0, 100.0, 5.0)
         positions = [(0.0, 0.0), (3.0, 4.0), (0.0, 5.0), (0.0, 5.0001)]
-        want = field.neighbor_pairs(positions, backend="reference")
-        got = field.neighbor_pairs(positions, backend="vectorized")
+        want = oracles.neighbor_pairs(field, positions)
+        got = field.neighbor_pairs(positions)
         assert want == got
         assert (0, 1) in got and (0, 2) in got and (0, 3) not in got
 
@@ -50,6 +51,8 @@ class TestNeighborPairBackends:
         assert field.neighbor_pairs([(1.0, 1.0)]) == []
 
     def test_unknown_backend_rejected(self):
+        # There is one search; a caller still naming a backend fails
+        # loudly instead of having the choice ignored.
         field = RectangularField(10.0, 10.0, 5.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             field.neighbor_pairs([(0.0, 0.0)], backend="kdtree")
