@@ -1,18 +1,22 @@
 """Persistent-pool bench: warm workers vs a fresh pool per shard.
 
-The campaign workload this PR targets: hundreds of *small* shards,
-where the chipless PHY has made the run bodies cheap enough that the
-per-shard ``multiprocessing.Pool`` spin-up (fork, initializer rebuild,
-cold artifact caches in every worker, teardown) dominates wall clock.
-The persistent :class:`~repro.experiments.pool.WorkerPool` pays those
-costs once per campaign instead of once per shard, and overlaps each
-shard's SQLite commit with the next shard's execution.
+The campaign workload here: hundreds of *small* shards, where the
+chipless PHY has made the run bodies cheap enough that a per-shard
+pool spin-up (fork, experiment rebuild, cold artifact caches in every
+worker, teardown) dominates wall clock.  The persistent
+:class:`~repro.experiments.pool.WorkerPool` pays those costs once per
+campaign instead of once per shard, and overlaps each shard's SQLite
+commit with the next shard's execution.
 
-This bench runs the same many-small-shard campaign through both
-engines, gates the shard-throughput ratio, and records the trajectory
-in the root-level ``BENCH_pool.json`` artifact.  Both campaigns must
-also produce the same canonical digest — a perf engine that changed
-the bytes would be a correctness bug, not a speedup.
+The baseline is a short local loop doing what a campaign without a
+persistent pool would: one ``run_parallel`` call (a fresh pool) per
+shard, each committed with ``CampaignStore.write_shard``, then the
+canonical export.  The bench times interleaved baseline/pooled pairs
+(alternating which goes first), gates the median shard-throughput
+ratio, and records every ratio in the root-level ``BENCH_pool.json``
+artifact.  Both sides must also produce the same canonical digest — a
+perf engine that changed the bytes would be a correctness bug, not a
+speedup.
 
 Environment knobs (on top of ``conftest``'s):
 
@@ -25,7 +29,8 @@ import os
 import statistics
 import time
 
-from repro.campaigns import CampaignSpec, run_campaign
+from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
+from repro.experiments.parallel import run_parallel
 from repro.experiments.pool import SupervisionPolicy
 from repro.experiments.reporting import format_series_table
 from repro.obs import MetricsRegistry, installed
@@ -42,10 +47,17 @@ BENCH_JSON = os.path.join(
 FULL_FLOOR = 3.0
 SMOKE_FLOOR = 1.2
 
+#: Interleaved baseline/pooled campaign pairs per measurement; the gate
+#: reads the median of their per-pair speedups.
+THROUGHPUT_SAMPLES = 7
+SMOKE_THROUGHPUT_SAMPLES = 5
+
 #: Explicit worker count: sizing from this machine's affinity mask can
-#: yield 1 worker (single-CPU CI), which would silently bypass both
-#: engines' multiprocess paths and benchmark nothing.
+#: yield 1 worker (single-CPU CI), which would put both sides on the
+#: inline pool and benchmark nothing.
 WORKERS = 2
+
+REVISION = "bench"
 
 
 def _smoke() -> bool:
@@ -53,10 +65,8 @@ def _smoke() -> bool:
 
 
 def _bench_spec(runs_per_point: int, seed: int) -> CampaignSpec:
-    # runs_per_shard=2 keeps every shard on the true multiprocess
-    # path: a 1-run shard would collapse run_parallel's per-shard
-    # baseline to the inline single-worker fast path and measure
-    # nothing.
+    # runs_per_shard=2 keeps every baseline shard on a true
+    # multiprocess pool: run_parallel runs a 1-run shard inline.
     return CampaignSpec(
         name="poolbench",
         seed=seed,
@@ -67,7 +77,44 @@ def _bench_spec(runs_per_point: int, seed: int) -> CampaignSpec:
     )
 
 
-def _time_campaign(spec, store_path, use_pool, supervision=None):
+def _time_per_shard_pools(spec, store_path):
+    """``(elapsed, canonical digest)`` of the fresh-pool-per-shard
+    baseline: run, commit and canonicalize every shard of ``spec``."""
+    start = time.perf_counter()
+    with CampaignStore(store_path) as store:
+        store.register_campaign(spec, REVISION)
+        for shard in spec.shards():
+            point = shard.point
+            result = run_parallel(
+                spec.point_config(point),
+                seed=point.seed,
+                runs=shard.n_runs,
+                processes=WORKERS,
+                strategy=spec.point_strategy(point),
+                mndp_rounds=spec.mndp_rounds,
+                link_model=spec.point_link_model(point),
+                collect_metrics=spec.collect_metrics,
+                run_indices=shard.run_indices,
+                phy_backend=spec.phy_backend,
+                chunksize=spec.pool_chunksize,
+            )
+            store.write_shard(
+                spec, REVISION, shard, result.runs,
+                result.merged_metrics() if spec.collect_metrics else None,
+            )
+    canonical = store_path + ".canonical.tmp"
+    with CampaignStore(store_path) as store:
+        store.export_canonical(
+            canonical,
+            mark_complete=(spec.name, spec.spec_hash(), REVISION),
+        )
+    os.replace(canonical, store_path)
+    elapsed = time.perf_counter() - start
+    with CampaignStore(store_path) as store:
+        return elapsed, store.canonical_digest()
+
+
+def _time_campaign(spec, store_path, supervision=None):
     """``(elapsed, status, pool counters)`` for one full campaign."""
     registry = MetricsRegistry()
     start = time.perf_counter()
@@ -76,8 +123,7 @@ def _time_campaign(spec, store_path, use_pool, supervision=None):
             spec,
             store_path,
             processes=WORKERS,
-            git_revision="bench",
-            use_pool=use_pool,
+            git_revision=REVISION,
             supervision=supervision,
         )
     elapsed = time.perf_counter() - start
@@ -94,56 +140,70 @@ def test_persistent_pool_shard_throughput(
 ):
     runs_per_point = 8 if _smoke() else 48
     floor = SMOKE_FLOOR if _smoke() else FULL_FLOOR
+    n_samples = (
+        SMOKE_THROUGHPUT_SAMPLES if _smoke() else THROUGHPUT_SAMPLES
+    )
     spec = _bench_spec(runs_per_point, seed)
 
     def measure():
         # Warm-up outside the timed comparison: first-campaign import
-        # and artifact costs hit whichever engine runs first.
+        # and artifact costs hit whichever side runs first.
         warm = _bench_spec(2, seed)
-        _time_campaign(
-            warm, str(tmp_path / "warm.sqlite"), use_pool=False
-        )
-        baseline_t, baseline_status, _ = _time_campaign(
-            spec, str(tmp_path / "per-shard.sqlite"), use_pool=False
-        )
-        pooled_t, pooled_status, pool_counters = _time_campaign(
-            spec, str(tmp_path / "persistent.sqlite"), use_pool=True
-        )
-        return (
-            baseline_t, baseline_status,
-            pooled_t, pooled_status, pool_counters,
-        )
+        _time_per_shard_pools(warm, str(tmp_path / "warm.sqlite"))
+        samples = []
+        for index in range(n_samples):
+            # Alternate which side goes first so drift in the host's
+            # speed does not favour one side.
+            order = ["baseline", "pooled"]
+            if index % 2:
+                order.reverse()
+            sample = {}
+            for name in order:
+                path = str(tmp_path / f"{name}-{index}.sqlite")
+                if name == "baseline":
+                    sample[name] = _time_per_shard_pools(spec, path)
+                else:
+                    sample[name] = _time_campaign(spec, path)
+            samples.append(sample)
+        return samples
 
-    (
-        baseline_t, baseline_status,
-        pooled_t, pooled_status, pool_counters,
-    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
+    samples = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    assert baseline_status.complete and pooled_status.complete
-    # Same bytes from both engines, or the comparison is meaningless.
-    assert (
-        pooled_status.canonical_digest
-        == baseline_status.canonical_digest
-    )
-    # The pool must actually have been exercised and stayed warm: one
-    # cold configure per point, every later shard a cache hit.
     points = len(spec.points())
-    shards = pooled_status.shards_total
-    assert pool_counters[_names.POOL_WORKERS_SPAWNED] == WORKERS
-    assert pool_counters[_names.POOL_WARM_MISSES] == points
-    assert pool_counters[_names.POOL_WARM_HITS] == shards - points
-
-    speedup = baseline_t / pooled_t
+    shards = len(spec.shards())
+    for sample in samples:
+        baseline_digest = sample["baseline"][1]
+        _, pooled_status, pool_counters = sample["pooled"]
+        assert pooled_status.complete
+        # Same bytes from both sides, or the comparison is meaningless.
+        assert pooled_status.canonical_digest == baseline_digest
+        # The pool must actually have been exercised and stayed warm:
+        # one cold configure per point, every later shard a cache hit.
+        assert pool_counters[_names.POOL_WORKERS_SPAWNED] == WORKERS
+        assert pool_counters[_names.POOL_WARM_MISSES] == points
+        assert pool_counters[_names.POOL_WARM_HITS] == shards - points
+    baseline_times = [sample["baseline"][0] for sample in samples]
+    pooled_times = [sample["pooled"][0] for sample in samples]
+    speedups = sorted(
+        base / pooled for base, pooled in zip(baseline_times, pooled_times)
+    )
+    speedup = statistics.median(speedups)
+    baseline_t = statistics.median(baseline_times)
+    pooled_t = statistics.median(pooled_times)
+    runs_executed = samples[0]["pooled"][1].runs_executed
     print()
     print(format_series_table(
         [{
             "shards": float(shards),
-            "runs": float(pooled_status.runs_executed),
+            "runs": float(runs_executed),
             "per_shard_pool_s": baseline_t,
             "persistent_s": pooled_t,
             "speedup": speedup,
+            "speedup_min": speedups[0],
+            "speedup_max": speedups[-1],
         }],
-        title="Campaign engines: fresh pool per shard vs warm pool",
+        title="Campaign engines: fresh pool per shard vs warm pool "
+              f"(median of {n_samples} interleaved pairs)",
     ))
     record = {
         "workload": {
@@ -152,19 +212,18 @@ def test_persistent_pool_shard_throughput(
             "runs_per_point": runs_per_point,
             "runs_per_shard": 2,
             "shards": shards,
-            "runs_executed": pooled_status.runs_executed,
+            "runs_executed": runs_executed,
             "workers": WORKERS,
         },
+        "samples": n_samples,
         "per_shard_pool_seconds": round(baseline_t, 4),
         "persistent_pool_seconds": round(pooled_t, 4),
         "speedup": round(speedup, 2),
-        "per_shard_pool_runs_per_s": round(
-            baseline_status.runs_executed / baseline_t, 2
-        ),
-        "persistent_pool_runs_per_s": round(
-            pooled_status.runs_executed / pooled_t, 2
-        ),
-        "pool_counters": pool_counters,
+        "speedups": [round(ratio, 2) for ratio in speedups],
+        "speedup_spread": round(speedups[-1] - speedups[0], 2),
+        "per_shard_pool_runs_per_s": round(runs_executed / baseline_t, 2),
+        "persistent_pool_runs_per_s": round(runs_executed / pooled_t, 2),
+        "pool_counters": samples[0]["pooled"][2],
         "floor": floor,
         "smoke": _smoke(),
     }
@@ -173,8 +232,9 @@ def test_persistent_pool_shard_throughput(
         BENCH_JSON, json.dumps(record, indent=2, sort_keys=True)
     )
     assert speedup >= floor, (
-        f"persistent pool only {speedup:.2f}x the per-shard-pool "
-        f"baseline (floor {floor}x)"
+        f"persistent pool only a median {speedup:.2f}x the "
+        f"per-shard-pool baseline over {n_samples} pairs (floor "
+        f"{floor}x; speedups {record['speedups']})"
     )
 
 
@@ -211,7 +271,7 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
     def measure():
         warm = _bench_spec(2, seed + 1)
         _time_campaign(
-            warm, str(tmp_path / "warm.sqlite"), use_pool=True,
+            warm, str(tmp_path / "warm.sqlite"),
             supervision=policies["blocking"],
         )
         samples = []
@@ -225,7 +285,7 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
             for name in order:
                 elapsed, status, _ = _time_campaign(
                     spec, str(tmp_path / f"{name}-{index}.sqlite"),
-                    use_pool=True, supervision=policies[name],
+                    supervision=policies[name],
                 )
                 sample[name] = (elapsed, status)
             samples.append(sample)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 from repro.errors import ConfigurationError
 from repro.sim.field import lens_overlap_fraction
 from repro.utils.validation import check_non_negative, check_positive
@@ -59,6 +57,10 @@ def expected_overlap_area(radius: float) -> float:
     verify to quadrature precision.
     """
     check_positive("radius", radius)
+    # Imported here: scipy.integrate is a large share of
+    # ``import repro`` and only this quadrature needs it.
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda d: lens_area(d, radius) * 2.0 * d / radius**2,
         0.0,

@@ -6,8 +6,8 @@ the determinism guarantees around it:
 1. expand the spec into shards (pure function of the spec);
 2. ask the store which shard indices are already committed for this
    ``(campaign, spec hash, git revision)`` and skip them;
-3. run each remaining shard through
-   :func:`~repro.experiments.parallel.run_parallel` with the point's
+3. run each remaining shard on one
+   :class:`~repro.experiments.pool.WorkerPool` with the point's
    derived seed and the shard's run-index range;
 4. commit the shard's results and merged deterministic metrics in one
    transaction;
@@ -15,15 +15,15 @@ the determinism guarantees around it:
    atomically replace the working store with its canonical
    byte-deterministic rebuild.
 
-By default the whole grid executes on one persistent
-:class:`~repro.experiments.pool.WorkerPool` (workers and their cached
-experiments survive across shards) and the loop pipelines one shard
-deep: shard N+1 is submitted to the pool *before* shard N's SQLite
-commit runs on the main thread, so commit latency overlaps compute
-instead of serializing with it.  Because a shard's results are a pure
-function of ``(spec, shard)``, the store bytes are unaffected by the
-engine — ``use_pool=False`` (CLI ``--no-pool``) falls back to one
-``run_parallel`` pool per shard and produces an identical store.
+The whole grid executes on one pool that lives for the invocation:
+multiprocess when more than one CPU is available (workers and their
+cached experiments survive across shards), inline (``processes=0``)
+otherwise, which keeps experiments warm across shards in this process.
+The loop pipelines one shard deep: shard N+1 is submitted *before*
+shard N's SQLite commit runs on the main thread, so on a multiprocess
+pool commit latency overlaps compute instead of serializing with it.
+Because a shard's results are a pure function of ``(spec, shard)``,
+the store bytes do not depend on the pool.
 
 A SIGKILL anywhere in steps 3-4 loses at most the in-flight shards'
 work (the committing one, plus the pipelined next one); the next
@@ -43,10 +43,11 @@ Self-healing (the supervision layer):
   and re-executes them.
 - Supervision itself giving up (respawn budget exhausted, spawn
   failure) triggers **graceful degradation** instead of an exception:
-  persistent pool → fresh per-shard pool → serial in-process
-  execution, each step announced loudly on the progress sink and
-  recorded as an infrastructure event.  Because every engine produces
-  bit-identical results, degradation changes throughput, never bytes.
+  the multiprocess pool is replaced by an inline one (``'pool'`` →
+  ``'serial'``) and the shard re-runs, announced loudly on the
+  progress sink and recorded as an infrastructure event.  Because both
+  pools produce bit-identical results, degradation changes throughput,
+  never bytes.  An error from the inline pool propagates.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from repro.errors import (
     WorkerPoolError,
     is_quarantined_failure,
 )
-from repro.experiments.parallel import collect_outcomes, run_parallel
+from repro.experiments.parallel import collect_outcomes
 from repro.experiments.pool import (
     ExperimentSpec,
     PendingRun,
@@ -125,9 +126,8 @@ def _self_sigkill() -> None:
 def _shard_experiment_spec(
     spec: CampaignSpec, shard: Shard
 ) -> ExperimentSpec:
-    """The pool-side spec for one shard — mirrors the ``run_parallel``
-    arguments of the per-shard path exactly, so both engines build
-    byte-identical experiments."""
+    """The pool-side spec for one shard: the point's config, derived
+    seed, strategy and link model."""
     point = shard.point
     return ExperimentSpec(
         config=spec.point_config(point),
@@ -148,7 +148,6 @@ def run_campaign(
     kill_after_shards: Optional[int] = None,
     git_revision: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
-    use_pool: bool = True,
     retry_quarantined: bool = False,
     supervision: Optional[SupervisionPolicy] = None,
     execution_faults: Any = None,
@@ -163,9 +162,9 @@ def run_campaign(
     Parameters
     ----------
     processes:
-        Worker processes (sizes the persistent pool, or is forwarded
-        per shard to ``run_parallel`` with ``use_pool=False``).
-        Defaults to the CPUs available to this process.
+        Worker processes of the campaign's pool; ``1`` runs every
+        shard inline in this process.  Defaults to the CPUs available
+        to this process.
     max_shards:
         Stop gracefully after executing this many shards (testing and
         budgeted execution); the campaign stays resumable.
@@ -176,14 +175,6 @@ def run_campaign(
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
         Optional line sink for human-readable progress.
-    use_pool:
-        Drive every shard through one persistent
-        :class:`~repro.experiments.pool.WorkerPool`, overlapping each
-        shard's commit with the next shard's execution (default).
-        ``False`` restores the per-shard-pool engine; the resulting
-        store is bit-identical either way.  With a single available
-        CPU the persistent pool is skipped automatically — forking one
-        worker to do what the parent could do inline is pure overhead.
     retry_quarantined:
         Clear this campaign's quarantine records and re-execute their
         shards.  Plain resume (the default) skips quarantined shards —
@@ -196,7 +187,7 @@ def run_campaign(
         description.
     execution_faults:
         Test-only chaos hook forwarded to the worker boundary (see
-        :mod:`repro.faults.execution`); the serial fallback ignores it
+        :mod:`repro.faults.execution`); the inline pool ignores it
         (there is no worker process to kill).
     """
     if max_shards is not None and max_shards < 0:
@@ -223,27 +214,28 @@ def run_campaign(
             )
         store.register_campaign(spec, revision)
 
-        def _record_degradation(
-            stage_from: str, stage_to: str, shard_index: int,
+        def _degrade(
+            broken: Optional[WorkerPool], shard_index: int,
             error: BaseException,
-        ) -> str:
-            """Announce + persist one engine-degradation event."""
+        ) -> WorkerPool:
+            """Announce + persist the one degradation ``'pool'`` →
+            ``'serial'``; close ``broken`` and return the inline pool
+            that replaces it."""
             registry.inc(_names.POOL_DEGRADED)
             message = (
-                f"supervision gave up on engine {stage_from!r} at "
-                f"shard {shard_index} ({error}); degrading to "
-                f"{stage_to!r}"
+                f"supervision gave up on engine 'pool' at shard "
+                f"{shard_index} ({error}); degrading to 'serial'"
             )
             emit("!! " + message)
-            # Negative run indices enumerate degradation events so
-            # several steps down the ladder at one shard all persist.
+            # A negative run index marks an infrastructure event.
             store.record_failure(
-                spec.name, spec_hash, revision, shard_index,
-                -(len(degradations) + 1),
+                spec.name, spec_hash, revision, shard_index, -1,
                 INFRASTRUCTURE_KIND, 0, message,
             )
             degradations.append(message)
-            return stage_to
+            if broken is not None:
+                broken.close()
+            return WorkerPool(processes=0, cache_size=spec.pool_cache_size)
 
         done = store.completed_shards(spec.name, spec_hash, revision)
         # 'complete' is only ever written by the canonical export, so
@@ -290,26 +282,29 @@ def run_campaign(
             pending.append(shard)
 
         workers = processes or available_cpu_count()
-        # The engine ladder: "pool" (persistent, pipelined) degrades
-        # to "per-shard" (fresh supervised pool per shard) degrades to
-        # "serial" (in-process).  All three are bit-identical.
-        engine = (
-            "pool" if use_pool and workers > 1 and pending
-            else "per-shard"
-        )
+        # One pool for the whole grid: multiprocess with more than one
+        # worker, inline otherwise.  A multiprocess pool whose
+        # supervision gives up degrades once, to an inline pool.
         pool: Optional[WorkerPool] = None
-        if engine == "pool":
+        if pending:
             try:
                 pool = WorkerPool(
-                    processes=workers,
+                    processes=workers if workers > 1 else 0,
                     cache_size=spec.pool_cache_size,
                     policy=policy,
                     execution_faults=execution_faults,
                 )
             except (WorkerPoolError, OSError) as error:
-                engine = _record_degradation(
-                    "pool", "per-shard", pending[0].index, error
-                )
+                pool = _degrade(None, pending[0].index, error)
+
+        def _submit(shard: Shard) -> PendingRun:
+            assert pool is not None
+            return pool.submit(
+                _shard_experiment_spec(spec, shard),
+                shard.run_indices,
+                chunksize=spec.pool_chunksize,
+            )
+
         try:
             handle: Optional[PendingRun] = None
             elapsed_total = 0.0
@@ -320,82 +315,30 @@ def run_campaign(
                 quarantined_here = False
                 while result is None and not quarantined_here:
                     try:
-                        if engine == "pool":
-                            assert pool is not None
-                            if handle is None:
-                                handle = pool.submit(
-                                    _shard_experiment_spec(spec, shard),
-                                    shard.run_indices,
-                                    chunksize=spec.pool_chunksize,
-                                )
-                            outcomes = handle.wait()
-                            handle = None
-                            # Pipeline one shard deep: hand the pool
-                            # the next shard *before* this one's
-                            # commit, so the SQLite transaction below
-                            # overlaps worker compute.
-                            if position + 1 < len(pending):
-                                nxt = pending[position + 1]
-                                try:
-                                    handle = pool.submit(
-                                        _shard_experiment_spec(
-                                            spec, nxt
-                                        ),
-                                        nxt.run_indices,
-                                        chunksize=spec.pool_chunksize,
-                                    )
-                                except WorkerPoolError:
-                                    # Degrade when we reach it; this
-                                    # shard's outcomes are intact.
-                                    handle = None
-                            result = collect_outcomes(
-                                outcomes, shard.n_runs
-                            )
-                        else:
-                            result = run_parallel(
-                                spec.point_config(point),
-                                seed=point.seed,
-                                runs=shard.n_runs,
-                                processes=(
-                                    workers if engine == "per-shard"
-                                    else 1
-                                ),
-                                strategy=spec.point_strategy(point),
-                                mndp_rounds=spec.mndp_rounds,
-                                link_model=spec.point_link_model(
-                                    point
-                                ),
-                                collect_metrics=spec.collect_metrics,
-                                run_indices=shard.run_indices,
-                                phy_backend=spec.phy_backend,
-                                chunksize=spec.pool_chunksize,
-                                supervision=policy,
-                                execution_faults=(
-                                    execution_faults
-                                    if engine == "per-shard" else None
-                                ),
-                            )
+                        outcomes = (handle or _submit(shard)).wait()
+                        handle = None
+                        # Pipeline one shard deep: hand the pool the
+                        # next shard *before* this one's commit, so the
+                        # SQLite transaction below overlaps worker
+                        # compute.
+                        if position + 1 < len(pending):
+                            try:
+                                handle = _submit(pending[position + 1])
+                            except WorkerPoolError:
+                                # Degrade when we reach it; this
+                                # shard's outcomes are intact.
+                                handle = None
+                        result = collect_outcomes(outcomes, shard.n_runs)
                     except (WorkerPoolError, OSError) as error:
                         # Infrastructure failure: supervision itself
-                        # gave up.  Step down the ladder and re-run
-                        # this shard (identical bits on any engine).
-                        registry.inc(_names.CAMPAIGNS_SHARDS_RETRIED)
-                        if engine == "pool":
-                            engine = _record_degradation(
-                                "pool", "per-shard", shard.index,
-                                error,
-                            )
-                            handle = None
-                            if pool is not None:
-                                pool.close()
-                                pool = None
-                        elif engine == "per-shard":
-                            engine = _record_degradation(
-                                "per-shard", "serial", shard.index,
-                                error,
-                            )
-                        else:
+                        # gave up.  Swap in the inline pool and re-run
+                        # this shard (identical bits on either pool).
+                        assert pool is not None
+                        if pool.processes == 0:
                             raise
+                        registry.inc(_names.CAMPAIGNS_SHARDS_RETRIED)
+                        handle = None
+                        pool = _degrade(pool, shard.index, error)
                     except ParallelExecutionError as error:
                         quarantined = [
                             (index, tb)

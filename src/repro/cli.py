@@ -155,12 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="reuse the spec stored under NAME "
                                  "instead of --spec")
         runner.add_argument("--processes", type=int, default=None,
-                            help="worker processes (sizes the "
-                                 "persistent pool)")
-        runner.add_argument("--no-pool", action="store_true",
-                            help="disable the persistent worker pool "
-                                 "and fork one pool per shard "
-                                 "(results are identical)")
+                            help="worker processes of the campaign's "
+                                 "pool (1 runs every shard inline)")
         runner.add_argument("--max-shards", type=int, default=None,
                             help="stop (resumably) after this many "
                                  "shards")
@@ -422,7 +418,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             kill_after_shards=args.kill_after_shards,
             git_revision=args.revision,
             progress=print,
-            use_pool=not args.no_pool,
             retry_quarantined=args.retry_quarantined,
             execution_faults=execution_faults,
         )

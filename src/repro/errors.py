@@ -65,7 +65,9 @@ class WorkerPoolError(ReproError):
     - **infrastructure** — supervision itself failed (respawn budget
       exhausted, spawn failures, a closed/broken pool).  Only this
       family raises ``WorkerPoolError``; the campaign executor reacts
-      by degrading to a simpler engine rather than aborting.
+      by swapping the multiprocess pool for an inline one
+      (``'pool'`` → ``'serial'``) rather than aborting.  The inline
+      pool has no workers to lose, so an error there propagates.
     """
 
 
@@ -90,7 +92,8 @@ def is_quarantined_failure(traceback_text):
 
 #: The concrete exception families a Monte Carlo worker run may raise
 #: and have reported back as data (index + traceback) instead of
-#: aborting the whole ``multiprocessing`` map: the package's own error
+#: aborting its whole chunk (see ``repro.experiments.pool.run_chunk``):
+#: the package's own error
 #: taxonomy, numpy's numeric/shape failures (``ValueError``,
 #: ``ArithmeticError``), container/attribute programming errors
 #: surfaced by a bad configuration, and OS-level failures.  Anything

@@ -1,26 +1,27 @@
-"""The supervised, persistent warm worker pool behind campaign sweeps.
+"""The supervised, persistent warm worker pool: the one execution engine.
 
-``run_parallel`` historically created a fresh ``multiprocessing.Pool``
-per call and rebuilt the whole :class:`NetworkExperiment` (topology,
-code pool, codecs, correlation matrices) in every worker via the pool
-initializer.  That is fine for one 100-run sweep point, but a campaign
-is hundreds of *small* shards — and with the chipless PHY backend the
-run bodies are now so cheap that fork + re-pickle + rebuild dominates
-the wall clock.
+Every Monte Carlo sweep — a single ``run_parallel`` call or a whole
+campaign — runs on a :class:`WorkerPool`.  ``WorkerPool(processes=0)``
+is the *inline* pool: it spawns nothing, and each submitted job runs
+lazily in the caller's thread when its :class:`PendingRun` is waited
+on.  ``processes >= 1`` spawns that many worker processes.  Both go
+through :func:`run_chunk`, so every path builds experiments, caches
+them and traps run failures the same way.
 
-:class:`WorkerPool` amortizes all of that across a whole campaign:
+:class:`WorkerPool` amortizes setup across a whole campaign:
 
 - **Processes are spawned once** and reused for every shard.  Sizing
   respects the scheduler's CPU affinity mask
   (:func:`available_cpu_count`), not the raw machine core count.
-- **Workers cache constructed experiments** in a small LRU keyed by a
+- **Constructed experiments are cached** in a small LRU keyed by a
   content hash of the experiment parameters
-  (:meth:`ExperimentSpec.content_key`), so consecutive shards of the
-  same sweep point — and revisits of a point anywhere in the grid —
-  skip the rebuild entirely.  New points are announced with one cheap
-  ``configure`` broadcast carrying the spec; the per-process artifact
-  cache (codecs, correlation matrices, waveforms) stays warm for the
-  pool's whole lifetime.
+  (:meth:`ExperimentSpec.content_key`) — per worker process, or in the
+  caller for the inline pool — so consecutive shards of the same sweep
+  point, and revisits of a point anywhere in the grid, skip the
+  rebuild entirely.  New points are announced to workers with one
+  cheap ``configure`` broadcast carrying the spec; the per-process
+  artifact cache (codecs, correlation matrices, waveforms) stays warm
+  for the pool's whole lifetime.
 - **Submission is asynchronous.**  :meth:`WorkerPool.submit` returns a
   :class:`PendingRun` immediately while a dispatcher thread feeds the
   workers demand-driven chunks; the campaign executor uses this to
@@ -45,18 +46,23 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
   exhausted, a spawn failure, the pool closed mid-job — raise
   :class:`~repro.errors.WorkerPoolError` and break the pool.
 
+The inline pool has no workers to supervise: a run failure is trapped
+as data exactly as in a worker, and anything else propagates from
+:meth:`PendingRun.wait`.
+
 An :class:`~repro.faults.execution.ExecutionFaultPlan` can be attached
 at construction (test-only hook): workers call its ``before_run`` hook
 ahead of every run attempt, which is how the seeded ``WorkerKiller`` /
 ``RunHang`` / ``SlowWorker`` injectors drive the supervisor
-deterministically in tests and chaos CI.
+deterministically in tests and chaos CI.  The inline pool ignores it:
+there is no worker process to kill.
 
 Determinism is untouched: a run's randomness depends only on
-``(seed, run_index)`` and workers execute ``run_once`` exactly as the
-serial and fresh-pool paths do, so all three produce bit-identical
-:class:`~repro.experiments.runner.RunResult` streams (pinned by
-``tests/experiments/test_pool.py``) — with or without respawns in
-between.
+``(seed, run_index)`` and every pool executes ``run_once`` through
+:func:`run_chunk`, so inline and multiprocess pools produce
+bit-identical :class:`~repro.experiments.runner.RunResult` streams
+(pinned by ``tests/experiments/test_pool.py``) — with or without
+respawns in between.
 
 Pool activity is observable through the ``pool.*`` counters in
 :mod:`repro.obs.names`: workers spawned/respawned/timed-out/
@@ -67,6 +73,7 @@ dispatched, runs retried, and runs quarantined.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -79,6 +86,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -99,7 +107,7 @@ from repro.errors import (
 from repro.experiments.runner import NetworkExperiment, RunResult
 from repro.obs import current
 from repro.obs import names as _names
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -109,6 +117,7 @@ __all__ = [
     "WorkerPool",
     "adaptive_chunksize",
     "available_cpu_count",
+    "run_chunk",
 ]
 
 #: Constructed experiments a worker process keeps warm; beyond this the
@@ -121,6 +130,8 @@ DEFAULT_CACHE_SIZE = 8
 MAX_CHUNKSIZE = 32
 
 _Outcome = Tuple[int, Optional[RunResult], Optional[str]]
+
+_CANCELLED_BEFORE_START = "pool job was cancelled before it started"
 
 
 def available_cpu_count() -> int:
@@ -267,7 +278,7 @@ class ExperimentSpec:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def build(self) -> NetworkExperiment:
-        """Construct the experiment exactly as ``_init_worker`` does."""
+        """Construct the experiment these parameters describe."""
         return NetworkExperiment(
             self.config,
             seed=self.seed,
@@ -279,6 +290,49 @@ class ExperimentSpec:
         )
 
 
+def run_chunk(
+    experiments: "OrderedDict[str, NetworkExperiment]",
+    cache_size: int,
+    key: str,
+    spec: ExperimentSpec,
+    index_attempts: Sequence[Tuple[int, int]],
+    faults: Any = None,
+) -> List[_Outcome]:
+    """Execute ``run_once`` over one chunk of ``(index, attempt)`` pairs.
+
+    The experiment for ``key`` comes from the ``experiments`` LRU
+    (built from ``spec`` on a miss; beyond ``cache_size`` entries the
+    least recently used one is dropped).  Every failure family a run
+    can realistically produce —
+    :data:`~repro.errors.WORKER_TRAPPED_ERRORS` — travels back as a
+    tagged outcome instead of aborting the chunk.  Exceptions outside
+    those families (``KeyboardInterrupt``, ``SystemExit``,
+    non-``ReproError`` customs) propagate: they signal cancellation or
+    a plugged-in component misusing the error taxonomy, not a failed
+    run.
+
+    ``faults`` is the execution-plane chaos hook: when set, its
+    ``before_run(index, attempt)`` runs ahead of every run attempt —
+    the seeded injectors use it to kill, hang, or slow a worker at
+    deterministic points.
+    """
+    experiment = experiments.pop(key, None)
+    if experiment is None:
+        experiment = spec.build()
+    experiments[key] = experiment  # most recently used last
+    while len(experiments) > cache_size:
+        experiments.popitem(last=False)
+    outcomes: List[_Outcome] = []
+    for index, attempt in index_attempts:
+        if faults is not None:
+            faults.before_run(index, attempt)
+        try:
+            outcomes.append((index, experiment.run_once(index), None))
+        except WORKER_TRAPPED_ERRORS:
+            outcomes.append((index, None, traceback.format_exc()))
+    return outcomes
+
+
 def _worker_main(
     conn: Any,
     close_conns: List[Any],
@@ -288,11 +342,11 @@ def _worker_main(
     """Worker process loop: configure specs, run index chunks.
 
     Specs are retained for the process lifetime (they are tiny);
-    constructed experiments live in an LRU of ``cache_size`` so a pool
-    cycling through many points bounds its memory while revisited
-    points stay warm.  Per-run failures are trapped exactly like
-    ``run_parallel``'s ``_one_run`` and travel back as tagged outcome
-    data; anything else is a pool fault reported as ``fatal``.
+    constructed experiments live in :func:`run_chunk`'s LRU of
+    ``cache_size`` so a pool cycling through many points bounds its
+    memory while revisited points stay warm.  Per-run failures travel
+    back as tagged outcome data; anything else is a pool fault
+    reported as ``fatal``.
 
     ``close_conns`` carries every *parent-side* pipe end this process
     inherited (its own and those of already-running siblings) and is
@@ -304,11 +358,6 @@ def _worker_main(
     ``EOFError`` and the worker exits.  The same argument covers
     respawned workers: each new worker closes every older sibling's
     parent end, so its own parent end is held by the parent alone.
-
-    ``faults`` is the execution-plane chaos hook: when set, its
-    ``before_run(index, attempt)`` runs ahead of every run attempt —
-    the seeded injectors use it to kill, hang, or slow this process at
-    deterministic points.
     """
     for foreign in close_conns:
         foreign.close()
@@ -331,30 +380,14 @@ def _worker_main(
                     f"unknown pool message tag {tag!r}"
                 )
             _, key, index_attempts = message
-            experiment = experiments.pop(key, None)
-            if experiment is None:
-                spec = specs.get(key)
-                if spec is None:
-                    raise WorkerPoolError(
-                        f"run task for unconfigured spec key {key!r}"
-                    )
-                experiment = spec.build()
-            experiments[key] = experiment  # most recently used last
-            while len(experiments) > cache_size:
-                experiments.popitem(last=False)
-            outcomes: List[_Outcome] = []
-            for index, attempt in index_attempts:
-                if faults is not None:
-                    faults.before_run(index, attempt)
-                try:
-                    outcomes.append(
-                        (index, experiment.run_once(index), None)
-                    )
-                except WORKER_TRAPPED_ERRORS:
-                    outcomes.append(
-                        (index, None, traceback.format_exc())
-                    )
-            conn.send(("done", outcomes))
+            if key not in specs:
+                raise WorkerPoolError(
+                    f"run task for unconfigured spec key {key!r}"
+                )
+            conn.send(("done", run_chunk(
+                experiments, cache_size, key, specs[key],
+                index_attempts, faults,
+            )))
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
         try:
             conn.send(("fatal", traceback.format_exc()))
@@ -365,13 +398,20 @@ def _worker_main(
 
 
 class PendingRun:
-    """Handle for one submitted job; resolved by the dispatcher."""
+    """Handle for one submitted job.
 
-    def __init__(self) -> None:
+    A multiprocess pool's dispatcher resolves it; an inline pool's
+    handle carries the job itself and runs it in :meth:`wait`.
+    """
+
+    def __init__(
+        self, job: Optional[Callable[[], List[_Outcome]]] = None
+    ) -> None:
         self._event = threading.Event()
         self._outcomes: Optional[List[_Outcome]] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
+        self._job = job
 
     def done(self) -> bool:
         """True once the job has finished (successfully or not)."""
@@ -386,8 +426,9 @@ class PendingRun:
         """Withdraw the job: the dispatcher skips it if not yet started.
 
         A job already executing runs to completion (its results are
-        simply discarded with this handle); a queued job is resolved
-        with ``WorkerPoolError`` instead of occupying the pool.  This
+        simply discarded with this handle); a queued job — or an
+        inline job not yet waited on — is resolved with
+        ``WorkerPoolError`` instead of occupying the pool.  This
         is what :meth:`wait` does on timeout, closing the old
         outstanding-slot leak where a timed-out job stayed registered
         with the dispatcher and could race the caller's next job.
@@ -403,8 +444,15 @@ class PendingRun:
 
         On timeout the job is cancelled (see :meth:`cancel`) before
         ``WorkerPoolError`` is raised, so it cannot fire late into a
-        dispatcher slot the caller has mentally reclaimed.
+        dispatcher slot the caller has mentally reclaimed.  An inline
+        job runs here, in the caller's thread, so it never times out;
+        whatever it raises propagates, and waiting again re-runs it.
         """
+        if self._job is not None and not self._event.is_set():
+            if self._cancelled:
+                self._fail(WorkerPoolError(_CANCELLED_BEFORE_START))
+            else:
+                self._finish(self._job())
         if not self._event.wait(timeout):
             self.cancel()
             raise WorkerPoolError(
@@ -461,17 +509,25 @@ class WorkerPool:
     submissions — on an infrastructure failure such as an exhausted
     respawn budget.  Per-run failures never break it.
 
+    ``processes=0`` makes an *inline* pool: no processes, no
+    dispatcher thread; each job runs in the caller's thread when its
+    handle is waited on, and the experiment cache lives in the caller
+    until :meth:`close`.
+
     Parameters
     ----------
     processes:
-        Worker process count; defaults to :func:`available_cpu_count`.
+        Worker process count (``0`` for inline); defaults to
+        :func:`available_cpu_count`.
     cache_size:
-        Constructed experiments each worker keeps warm (LRU).
+        Constructed experiments each worker (or the inline pool)
+        keeps warm (LRU).
     policy:
         Supervision knobs; defaults to ``SupervisionPolicy()``.
     execution_faults:
         Test-only :class:`~repro.faults.execution.ExecutionFaultPlan`
-        delivered to every worker (original and respawned alike).
+        delivered to every worker (original and respawned alike);
+        ignored by the inline pool.
     """
 
     def __init__(
@@ -483,7 +539,7 @@ class WorkerPool:
     ) -> None:
         if processes is None:
             processes = available_cpu_count()
-        check_positive("processes", processes)
+        check_non_negative("processes", processes)
         check_positive("cache_size", cache_size)
         self._policy = policy or SupervisionPolicy()
         self._cache_size = int(cache_size)
@@ -497,23 +553,28 @@ class WorkerPool:
         for slot in range(int(processes)):
             self._workers.append(self._spawn_worker(slot))
         self._specs: Dict[str, ExperimentSpec] = {}
+        self._experiments: "OrderedDict[str, NetworkExperiment]" = (
+            OrderedDict()
+        )
         self._job_respawns = 0
         self._jobs: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
         self._broken = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="repro-pool-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
+        self._dispatcher: Optional[threading.Thread] = None
+        if self._workers:
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop,
+                name="repro-pool-dispatcher",
+                daemon=True,
+            )
+            self._dispatcher.start()
 
     # -- lifecycle -----------------------------------------------------
 
     @property
     def processes(self) -> int:
-        """Worker process count."""
+        """Worker process count (0 for an inline pool)."""
         return len(self._workers)
 
     @property
@@ -547,6 +608,9 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+        self._experiments.clear()
+        if self._dispatcher is None:
+            return
         grace = self._policy.close_grace
         self._jobs.put(None)
         self._dispatcher.join(timeout=grace)
@@ -626,6 +690,10 @@ class WorkerPool:
                 raise ConfigurationError(
                     "worker pool is closed; create a new pool"
                 )
+            if self._dispatcher is None:
+                return PendingRun(
+                    functools.partial(self._run_inline, spec, indices)
+                )
             handle = PendingRun()
             self._jobs.put(
                 _Job(
@@ -645,6 +713,25 @@ class WorkerPool:
     ) -> List[_Outcome]:
         """Synchronous convenience: ``submit(...).wait()``."""
         return self.submit(spec, run_indices, chunksize).wait()
+
+    def _register(self, spec: ExperimentSpec) -> str:
+        """Count a warm hit or miss for ``spec``; return its key."""
+        key = spec.content_key()
+        if key in self._specs:
+            current().inc(_names.POOL_WARM_HITS)
+        else:
+            self._specs[key] = spec
+            current().inc(_names.POOL_WARM_MISSES)
+        return key
+
+    def _run_inline(
+        self, spec: ExperimentSpec, indices: List[int]
+    ) -> List[_Outcome]:
+        """An inline job: the whole index list as one chunk, here."""
+        return run_chunk(
+            self._experiments, self._cache_size, self._register(spec),
+            spec, [(index, 0) for index in indices],
+        )
 
     # -- worker management ---------------------------------------------
 
@@ -736,12 +823,7 @@ class WorkerPool:
             if job is None:
                 return
             if job.handle.cancelled:
-                job.handle._fail(
-                    WorkerPoolError(
-                        "pool job was cancelled by a timed-out wait "
-                        "before it started"
-                    )
-                )
+                job.handle._fail(WorkerPoolError(_CANCELLED_BEFORE_START))
                 continue
             try:
                 outcomes = self._execute(job)
@@ -756,12 +838,7 @@ class WorkerPool:
     def _execute(self, job: _Job) -> List[_Outcome]:
         registry = current()
         policy = self._policy
-        key = job.spec.content_key()
-        if key in self._specs:
-            registry.inc(_names.POOL_WARM_HITS)
-        else:
-            self._specs[key] = job.spec
-            registry.inc(_names.POOL_WARM_MISSES)
+        key = self._register(job.spec)
         self._job_respawns = 0
         # Configure broadcast up front: one cheap spec message per
         # worker missing this key replaces what used to be a full

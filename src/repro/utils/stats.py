@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_fraction, check_non_negative
 
@@ -36,6 +34,9 @@ def mean_confidence_interval(
     if n == 1:
         return mean, mean, mean
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    # Imported here: scipy.stats dominates ``import repro`` otherwise.
+    from scipy import stats as scipy_stats
+
     half_width = (
         scipy_stats.t.ppf((1 + confidence) / 2, n - 1)
         * math.sqrt(variance / n)
@@ -59,6 +60,8 @@ def wilson_interval(
             f"successes ({successes}) exceed trials ({trials})"
         )
     check_fraction("confidence", confidence)
+    from scipy import stats as scipy_stats
+
     z = float(scipy_stats.norm.ppf((1 + confidence) / 2))
     p = successes / trials
     denom = 1 + z**2 / trials

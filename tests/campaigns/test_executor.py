@@ -17,6 +17,9 @@ import sys
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
+from repro.obs import installed
+from repro.obs import names as _names
+from repro.obs.registry import MetricsRegistry
 
 REV = "testrev"
 
@@ -137,11 +140,12 @@ class TestResume:
 
 
 class TestPersistentPoolEngine:
-    """The pooled engine must be invisible in the store bytes.
+    """The pool must be invisible in the store bytes.
 
     The module-scoped ``reference`` store is built with the default
-    engine (inline on this CI's single CPU), so comparing against it
-    is a cross-engine identity check, not a self-comparison.
+    pool (sized by this host's CPUs: inline on a single CPU), so the
+    explicit 2-process and 1-process runs below each compare across
+    pools on some host.
     """
 
     def test_pool_store_is_bit_identical(self, tmp_path, reference):
@@ -155,14 +159,28 @@ class TestPersistentPoolEngine:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
-    def test_no_pool_store_is_bit_identical(self, tmp_path, reference):
-        _, expected, _ = reference
-        path = str(tmp_path / "nopool.sqlite")
-        status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            use_pool=False,
-        )
+    def test_single_cpu_campaign_stays_warm(
+        self, tmp_path, reference
+    ):
+        """``processes=1`` runs every shard on one inline pool: each
+        point is built once and its later shards are warm hits."""
+        _, expected, ref_status = reference
+        path = str(tmp_path / "inline.sqlite")
+        registry = MetricsRegistry()
+        with installed(registry):
+            status = run_campaign(
+                tiny_spec(), path, processes=1, git_revision=REV
+            )
+        counters = registry.snapshot().counters
+        points = len(tiny_spec().points())
         assert status.complete
+        assert counters[_names.POOL_WARM_MISSES] == points
+        assert (
+            counters[_names.POOL_WARM_HITS]
+            == status.shards_total - points
+        )
+        assert _names.POOL_WORKERS_SPAWNED not in counters
+        assert status.canonical_digest == ref_status.canonical_digest
         with open(path, "rb") as handle:
             assert handle.read() == expected
 

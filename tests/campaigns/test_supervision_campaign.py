@@ -73,22 +73,6 @@ class TestChaosCompletes:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
-    def test_no_pool_campaign_survives_worker_kills(
-        self, tmp_path, reference
-    ):
-        _, expected, _ = reference
-        path = str(tmp_path / "chaos-nopool.sqlite")
-        status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            use_pool=False,
-            supervision=FAST,
-            execution_faults=plan(WorkerKiller(kills={0: 1, 2: 1})),
-        )
-        assert status.complete
-        assert status.runs_quarantined == 0
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
-
 
 class TestQuarantine:
     POLICY = SupervisionPolicy(
@@ -164,10 +148,10 @@ class TestDegradationLadder:
         self, tmp_path, reference
     ):
         """With a zero respawn budget every worker death is an
-        infrastructure failure: the executor steps persistent pool →
-        per-shard pool → serial, loudly, and still produces the
-        reference bytes (degradation events are telemetry, not
-        content)."""
+        infrastructure failure: the executor swaps the multiprocess
+        pool for an inline one (pool → serial), loudly, exactly once,
+        and still produces the reference bytes (degradation events are
+        telemetry, not content)."""
         _, expected, ref_status = reference
         path = str(tmp_path / "degraded.sqlite")
         lines = []
@@ -182,13 +166,32 @@ class TestDegradationLadder:
                 progress=lines.append,
             )
         assert status.complete
-        assert len(status.degraded) == 2
-        assert any("degrading to 'per-shard'" in line for line in lines)
+        assert len(status.degraded) == 1
+        assert "degrading to 'serial'" in status.degraded[0]
         assert any("degrading to 'serial'" in line for line in lines)
-        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 2
+        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 1
         assert status.canonical_digest == ref_status.canonical_digest
         with open(path, "rb") as handle:
             assert handle.read() == expected
+
+    def test_inline_pool_error_propagates(self, tmp_path, monkeypatch):
+        """The inline pool is the bottom of the ladder: an
+        infrastructure error there is raised, not degraded."""
+        from repro.errors import WorkerPoolError
+        from repro.experiments.pool import PendingRun
+
+        def broken(self, timeout=None):
+            raise WorkerPoolError("synthetic inline failure")
+
+        monkeypatch.setattr(PendingRun, "wait", broken)
+        registry = MetricsRegistry()
+        with installed(registry):
+            with pytest.raises(WorkerPoolError, match="synthetic"):
+                run_campaign(
+                    tiny_spec(), str(tmp_path / "inline.sqlite"),
+                    processes=1, git_revision=REV,
+                )
+        assert _names.POOL_DEGRADED not in registry.snapshot().counters
 
 
 class TestSalvage:

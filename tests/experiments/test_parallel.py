@@ -1,6 +1,7 @@
 """Tests for the multiprocess Monte Carlo runner."""
 
 import multiprocessing
+from collections import OrderedDict
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.parallel import run_parallel
+from repro.experiments.pool import ExperimentSpec, run_chunk
 from repro.experiments.runner import NetworkExperiment
 
 SMALL = JRSNDConfig(
@@ -19,6 +21,14 @@ SMALL = JRSNDConfig(
     field_height=2000.0,
     tx_range=300.0,
 )
+
+
+def _run_chunk(indices):
+    """One first-attempt chunk of ``SMALL`` through the chunk runner."""
+    return run_chunk(
+        OrderedDict(), 1, "small", ExperimentSpec(config=SMALL, seed=6),
+        [(index, 0) for index in indices],
+    )
 
 
 class TestRunParallel:
@@ -107,11 +117,12 @@ class TestFailureHandling:
         ids=["repro-error", "value-error", "lookup-error"],
     )
     def test_trapped_families_come_back_as_data(self, monkeypatch, exc):
-        """Regression for the JRS003 narrowing: ``_one_run`` traps the
-        concrete :data:`WORKER_TRAPPED_ERRORS` families (not a blanket
+        """Regression for the JRS003 narrowing: the shared chunk runner
+        (:func:`~repro.experiments.pool.run_chunk`, used by worker
+        processes and the inline pool alike) traps the concrete
+        :data:`WORKER_TRAPPED_ERRORS` families (not a blanket
         ``except Exception``), and each still travels back tagged with
-        its run index instead of aborting the map."""
-        from repro.errors import ParallelExecutionError
+        its run index instead of aborting the chunk."""
 
         def failing(self, run_index):
             if run_index == 1:
@@ -119,16 +130,15 @@ class TestFailureHandling:
             return self._execute_run(run_index)
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel(SMALL, seed=6, runs=3, processes=1)
-        err = excinfo.value
-        assert [index for index, _ in err.failures] == [1]
-        assert type(exc).__name__ in err.failures[0][1]
-        assert len(err.completed.runs) == 2
+        outcomes = _run_chunk([0, 1, 2])
+        assert [index for index, _, tb in outcomes if tb] == [1]
+        assert type(exc).__name__ in outcomes[1][2]
+        assert sum(result is not None for _, result, _ in outcomes) == 2
 
     def test_untrapped_exceptions_propagate(self, monkeypatch):
         """Cancellation and foreign exception types are not swallowed
-        into the failure report: they abort the run immediately."""
+        into the failure report: they abort the chunk immediately, and
+        the inline path re-raises them to the caller."""
 
         class ForeignPluginError(BaseException):
             pass
@@ -137,6 +147,8 @@ class TestFailureHandling:
             raise ForeignPluginError("not part of the worker taxonomy")
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
+        with pytest.raises(ForeignPluginError):
+            _run_chunk([0, 1])
         with pytest.raises(ForeignPluginError):
             run_parallel(SMALL, seed=6, runs=2, processes=1)
 

@@ -1,22 +1,22 @@
 """Tests for the persistent warm worker pool.
 
-The load-bearing property is the equivalence gate: serial, fresh-pool,
-and persistent-pool execution must produce bit-identical outcomes and
-per-run metrics, for one call and across many reusing calls.
+The load-bearing property is the equivalence gate: serial, inline-pool,
+fresh-pool, and persistent-pool execution must produce bit-identical
+outcomes and per-run metrics, for one call and across many reusing
+calls.
 """
 
 import os
 
 import pytest
 
-import repro.experiments.parallel as parallel_module
 from repro.core.config import JRSNDConfig
 from repro.errors import (
     ConfigurationError,
     ParallelExecutionError,
     WorkerPoolError,
 )
-from repro.experiments.parallel import run_parallel
+from repro.experiments.parallel import collect_outcomes, run_parallel
 from repro.experiments.pool import (
     ExperimentSpec,
     SupervisionPolicy,
@@ -287,18 +287,129 @@ class TestFailureSemantics:
             assert pool.broken
 
 
-class TestInlinePathLeak:
-    def test_single_worker_path_clears_module_global(self):
-        """Regression: the workers<=1 path used to leave the built
-        experiment in ``_worker_experiment`` after returning."""
-        run_parallel(TINY, seed=6, runs=2, processes=1)
-        assert parallel_module._worker_experiment is None
+class TestInlinePool:
+    """``WorkerPool(processes=0)``: same bits, no processes."""
 
-    def test_cleared_even_when_runs_fail(self, monkeypatch):
+    @pytest.mark.parametrize("collect_metrics", [True, False])
+    def test_matches_serial_and_multiprocess(self, collect_metrics):
+        spec = ExperimentSpec(
+            config=TINY, seed=11, collect_metrics=collect_metrics
+        )
+        serial = NetworkExperiment(
+            TINY, seed=11, collect_metrics=collect_metrics
+        ).run(4)
+        results = []
+        for processes in (0, 2):
+            with WorkerPool(processes=processes) as pool:
+                results.append(
+                    collect_outcomes(pool.run(spec, range(4)), 4)
+                )
+        inline, multiprocess = results
+        assert inline.runs == serial.runs == multiprocess.runs
+        assert (
+            inline.merged_metrics().counters
+            == serial.merged_metrics().counters
+            == multiprocess.merged_metrics().counters
+        )
+        if collect_metrics:
+            assert inline.merged_metrics().counters
+
+    def test_counts_warm_hits_and_misses_per_content_key(self):
+        registry = MetricsRegistry()
+        with installed(registry):
+            with WorkerPool(processes=0) as pool:
+                for config in (TINY, TINY, TINY_B, TINY):
+                    run_parallel(config, seed=11, runs=2, pool=pool)
+            counters = registry.snapshot().counters
+        assert counters[_names.POOL_WARM_MISSES] == 2
+        assert counters[_names.POOL_WARM_HITS] == 2
+        assert _names.POOL_WORKERS_SPAWNED not in counters
+        assert _names.POOL_TASKS_DISPATCHED not in counters
+
+    def test_spawns_no_process_and_runs_in_the_callers_thread(
+        self, monkeypatch
+    ):
+        import multiprocessing
+        import threading
+
+        seen = []
+        original = NetworkExperiment.run_once
+
+        def recording(self, run_index):
+            seen.append((os.getpid(), threading.get_ident()))
+            return original(self, run_index)
+
+        monkeypatch.setattr(NetworkExperiment, "run_once", recording)
+        children = set(multiprocessing.active_children())
+        threads = threading.active_count()
+        with WorkerPool(processes=0) as pool:
+            assert pool.processes == 0
+            assert pool._processes == []
+            assert threading.active_count() == threads
+            handle = pool.submit(ExperimentSpec(config=TINY, seed=7), [0, 1])
+            assert seen == []  # the job runs lazily, in wait()
+            assert len(handle.wait()) == 2
+        assert set(multiprocessing.active_children()) == children
+        assert seen == [(os.getpid(), threading.get_ident())] * 2
+
+    def test_close_drops_cached_experiments(self):
+        pool = WorkerPool(processes=0)
+        pool.run(ExperimentSpec(config=TINY, seed=7), [0])
+        pool.run(ExperimentSpec(config=TINY_B, seed=7), [0])
+        assert len(pool._experiments) == 2
+        pool.close()
+        assert len(pool._experiments) == 0
+        with pytest.raises(ConfigurationError):
+            pool.submit(ExperimentSpec(config=TINY, seed=7), [0])
+
+    def test_single_worker_run_parallel_leaves_no_experiment(
+        self, monkeypatch
+    ):
+        """``run_parallel(processes=1)`` closes its inline pool even
+        when runs fail, so no built experiment outlives the call."""
+        pools = []
+        original = WorkerPool.__init__
+
+        def tracking(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            pools.append(self)
+
         def failing(self, run_index):
             raise RuntimeError("boom")
 
+        monkeypatch.setattr(WorkerPool, "__init__", tracking)
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with pytest.raises(ParallelExecutionError):
             run_parallel(TINY, seed=6, runs=2, processes=1)
-        assert parallel_module._worker_experiment is None
+        (pool,) = pools
+        assert pool.processes == 0
+        assert len(pool._experiments) == 0
+
+    def test_untrapped_error_propagates_from_wait(self, monkeypatch):
+        class ForeignPluginError(BaseException):
+            pass
+
+        def failing(self, run_index):
+            raise ForeignPluginError("not part of the worker taxonomy")
+
+        monkeypatch.setattr(NetworkExperiment, "run_once", failing)
+        with WorkerPool(processes=0) as pool:
+            handle = pool.submit(ExperimentSpec(config=TINY, seed=7), [0])
+            for _ in range(2):  # waiting again re-runs the job
+                with pytest.raises(ForeignPluginError):
+                    handle.wait()
+
+    def test_cancelled_job_never_runs(self, monkeypatch):
+        def failing(self, run_index):
+            raise AssertionError("a cancelled inline job ran")
+
+        monkeypatch.setattr(NetworkExperiment, "run_once", failing)
+        with WorkerPool(processes=0) as pool:
+            handle = pool.submit(ExperimentSpec(config=TINY, seed=7), [0])
+            handle.cancel()
+            with pytest.raises(WorkerPoolError, match="cancelled"):
+                handle.wait()
+
+    def test_rejects_negative_processes(self):
+        with pytest.raises(ConfigurationError):
+            WorkerPool(processes=-1)

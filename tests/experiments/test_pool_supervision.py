@@ -130,7 +130,7 @@ class TestRespawnRetry:
         assert counters[_names.POOL_WORKERS_RESPAWNED] >= 2
 
     def test_fresh_pool_path_survives_worker_kills(self):
-        """The pool-less (``--no-pool``) path rides the same
+        """``run_parallel``'s fresh per-call pool rides the same
         supervisor: an individual worker SIGKILLed mid-map respawns
         instead of wedging the whole call."""
         serial = run_parallel(TINY, seed=11, runs=4, processes=1)
