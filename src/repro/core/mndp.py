@@ -16,7 +16,7 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,8 +41,8 @@ Pair = Tuple[int, int]
 
 class LogicalGraph:
     """The logical-neighbor relation over node indices, kept as an edge
-    log: the M-NDP closure scatters :meth:`edge_array` into its own
-    adjacency structure."""
+    log: the M-NDP closure reads :meth:`edge_array` into its own sorted
+    edge keys."""
 
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
@@ -86,8 +86,8 @@ class LogicalGraph:
         """Every recorded link as a ``(k, 2)`` int array.
 
         May contain duplicates (re-adding a link is a no-op on the
-        relation but stays in the log); consumers scatter it into an
-        adjacency structure, where duplicates are harmless.
+        relation but stays in the log); consumers deduplicate it into
+        their own adjacency structure.
         """
         parts = list(self._chunks)
         if self._singles:
@@ -141,12 +141,13 @@ class MNDPSampler:
         Returns all pairs newly discovered across the rounds, as
         ``(low, high)`` index tuples; the caller's graph is not changed.
 
-        The logical graph is scattered once into a link matrix (and,
-        when relays are excluded, a separate relay matrix); each round
-        screens the still-unlinked pairs, resolves their closure
-        distances, and commits new links in place.  A pair listed more
-        than once (in either orientation) resolves, and observes
-        metrics, once, at its first occurrence.
+        The logical graph is kept as the sorted undirected edge keys
+        ``low * n + high``; each round screens the still-unlinked pairs
+        against them, resolves their closure distances over a CSR relay
+        adjacency, and merges the new links into the keys.  Memory is
+        linear in the edge and pair counts.  A pair listed more than
+        once (in either orientation) resolves, and observes metrics,
+        once, at its first occurrence.
         """
         check_positive("rounds", rounds)
         registry = _metrics()
@@ -154,33 +155,26 @@ class MNDPSampler:
         raw = np.asarray(physical_pairs, dtype=np.int64).reshape(-1, 2)
         a_all = np.minimum(raw[:, 0], raw[:, 1])
         b_all = np.maximum(raw[:, 0], raw[:, 1])
-        link = np.zeros((n, n), dtype=bool)
+        pair_keys = a_all * n + b_all
         edges = logical.edge_array()
-        if edges.size:
-            link[edges[:, 0], edges[:, 1]] = True
-            link[edges[:, 1], edges[:, 0]] = True
-        if self._exclude:
-            relay = link.copy()
-            self._zero_excluded(relay)
-        else:
-            relay = link
-        valid_all = self._endpoint_valid(a_all, b_all, n)
+        links = _sorted_unique(
+            np.minimum(edges[:, 0], edges[:, 1]) * n
+            + np.maximum(edges[:, 0], edges[:, 1])
+        )
+        relays = np.ones(n, dtype=bool)
+        excluded = np.fromiter(self._exclude, dtype=np.int64)
+        relays[excluded[(excluded >= 0) & (excluded < n)]] = False
         discovered: Set[Pair] = set()
         for round_index in range(rounds):
-            pend = np.flatnonzero(~link[a_all, b_all])
+            pend = np.flatnonzero(~_contains(links, pair_keys))
             # Duplicates in physical_pairs resolve only once.
-            keys = a_all[pend] * n + b_all[pend]
-            first = np.unique(keys, return_index=True)[1]
-            if first.size != pend.size:
-                first.sort()
-                pend_unique = pend[first]
-            else:
-                pend_unique = pend
+            first = np.unique(pair_keys[pend], return_index=True)[1]
+            pend_unique = pend[np.sort(first)]
             dist = self._closure_distances(
                 a_all[pend_unique],
                 b_all[pend_unique],
-                relay,
-                valid_all[pend_unique],
+                links,
+                relays,
             )
             found = dist > 0
             new_idx = pend_unique[found]
@@ -191,134 +185,105 @@ class MNDPSampler:
                     registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
             if new_idx.size == 0:
                 break
-            new_a = a_all[new_idx]
-            new_b = b_all[new_idx]
-            discovered.update(zip(new_a.tolist(), new_b.tolist()))
+            discovered.update(
+                zip(a_all[new_idx].tolist(), b_all[new_idx].tolist())
+            )
             if round_index == rounds - 1:
                 break
-            link[new_a, new_b] = True
-            link[new_b, new_a] = True
-            if relay is not link:
-                relay[new_a, new_b] = True
-                relay[new_b, new_a] = True
+            links = _sorted_unique(
+                np.concatenate([links, pair_keys[new_idx]])
+            )
         if registry.enabled:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
         return discovered
-
-    def _zero_excluded(self, adj: np.ndarray) -> None:
-        """Remove excluded nodes' rows/columns from a relay adjacency."""
-        n = adj.shape[0]
-        excluded = np.fromiter(self._exclude, dtype=np.int64)
-        excluded = excluded[(excluded >= 0) & (excluded < n)]
-        adj[excluded, :] = False
-        adj[:, excluded] = False
-
-    def _endpoint_valid(
-        self, a_arr: np.ndarray, b_arr: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Mask of pairs whose endpoints are both non-excluded."""
-        if not self._exclude:
-            return np.ones(a_arr.size, dtype=bool)
-        excluded = np.fromiter(self._exclude, dtype=np.int64)
-        excluded = excluded[(excluded >= 0) & (excluded < n)]
-        in_excl = np.zeros(n, dtype=bool)
-        in_excl[excluded] = True
-        return ~(in_excl[a_arr] | in_excl[b_arr])
 
     def _closure_distances(
         self,
         a_arr: np.ndarray,
         b_arr: np.ndarray,
-        adj: np.ndarray,
-        valid: np.ndarray,
+        links: np.ndarray,
+        relays: np.ndarray,
     ) -> np.ndarray:
-        """Hop distances (0 = unreachable) for pairs over a relay
-        adjacency, by the packed-bitset level sweep."""
+        """Relay-hop distances (0 = farther than ``nu`` or unreachable)
+        for pairs that are not linked, over the undirected edge keys
+        ``links`` with non-``relays`` nodes' edges dropped; a pair with
+        a non-relay endpoint discovers nothing."""
         dist = np.zeros(a_arr.size, dtype=np.int64)
-        if a_arr.size == 0:
+        remaining = np.flatnonzero(relays[a_arr] & relays[b_arr])
+        if self._nu < 2 or remaining.size == 0:
             return dist
-        n = adj.shape[0]
-        dist[adj[a_arr, b_arr] & valid] = 1
-        remaining = np.flatnonzero(valid & (dist == 0))
-        if self._nu >= 2 and remaining.size:
-            packed = np.packbits(adj, axis=1)
-            hit = _any_common_bit(
-                packed, a_arr[remaining], packed, b_arr[remaining]
-            )
-            dist[remaining[hit]] = 2
-            remaining = remaining[~hit]
-            if self._nu >= 3 and remaining.size:
-                self._deep_levels(
-                    a_arr, b_arr, dist, remaining, adj, packed, n
-                )
+        n = relays.size
+        low, high = np.divmod(links, n)
+        keep = relays[low] & relays[high]
+        low, high = low[keep], high[keep]
+        # Directed relay keys, sorted: row-major CSR order.
+        arcs = np.sort(np.concatenate([low * n + high, high * n + low]))
+        indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+        indices = arcs % n
+        # Hop 2 from b's side: some u in N(b) with a-u a relay arc.
+        a_rem = a_arr[remaining]
+        owner, hub = _expand(indptr, indices, b_arr[remaining])
+        hit = np.zeros(remaining.size, dtype=bool)
+        hit[owner[_contains(arcs, a_rem[owner] * n + hub)]] = True
+        dist[remaining[hit]] = 2
+        remaining = remaining[~hit]
+        if self._nu < 3 or remaining.size == 0:
+            return dist
+        # Hops 3..nu: per-pair BFS frontiers from a, as keys j * n + node
+        # for the j-th still-unresolved pair.
+        a_rem = a_arr[remaining]
+        b_rem = b_arr[remaining]
+        owner, node = _expand(indptr, indices, a_rem)
+        frontier = owner * n + node
+        visited = np.sort(
+            np.concatenate([frontier, np.arange(a_rem.size) * n + a_rem])
+        )
+        for level in range(3, self._nu + 1):
+            owner, node = np.divmod(frontier, n)
+            step, node = _expand(indptr, indices, node)
+            grown = _sorted_unique(owner[step] * n + node)
+            frontier = grown[~_contains(visited, grown)]
+            owner, node = np.divmod(frontier, n)
+            found = owner[_contains(arcs, node * n + b_rem[owner])]
+            dist[remaining[found]] = level
+            if level == self._nu:
+                break
+            alive = np.ones(remaining.size, dtype=bool)
+            alive[found] = False
+            frontier = frontier[alive[owner]]
+            if frontier.size == 0:
+                break
+            visited = _sorted_unique(np.concatenate([visited, frontier]))
         return dist
 
-    def _deep_levels(
-        self,
-        a_arr: np.ndarray,
-        b_arr: np.ndarray,
-        dist: np.ndarray,
-        remaining: np.ndarray,
-        adj: np.ndarray,
-        packed: np.ndarray,
-        n: int,
-    ) -> None:
-        """Resolve hops ``3..nu`` by expanding per-source frontiers."""
-        frontiers: Dict[int, np.ndarray] = {}
-        visiteds: Dict[int, np.ndarray] = {}
-        depths: Dict[int, int] = {}
-        for level in range(3, self._nu + 1):
-            if remaining.size == 0:
-                return
-            for src in set(a_arr[remaining].tolist()):
-                if src not in frontiers:
-                    visited = packed[src].copy()
-                    visited[src >> 3] |= np.uint8(0x80 >> (src & 7))
-                    frontiers[src] = packed[src]
-                    visiteds[src] = visited
-                    depths[src] = 1
-                while depths[src] < level - 1:
-                    members = np.flatnonzero(
-                        np.unpackbits(frontiers[src], count=n)
-                    )
-                    if members.size == 0:
-                        depths[src] = level - 1
-                        break
-                    grown = np.bitwise_or.reduce(packed[members], axis=0)
-                    grown &= ~visiteds[src]
-                    visiteds[src] |= grown
-                    frontiers[src] = grown
-                    depths[src] += 1
-            sources = np.unique(a_arr[remaining])
-            table = np.stack([frontiers[src] for src in sources.tolist()])
-            hit = _any_common_bit(
-                table, np.searchsorted(sources, a_arr[remaining]),
-                packed, b_arr[remaining],
-            )
-            dist[remaining[hit]] = level
-            remaining = remaining[~hit]
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by one sort and an adjacent-difference mask."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
-#: Pairs per chunk of the packed-row AND/any tests: bounds the gathered
-#: temporaries to ``_CHUNK * n / 8`` bytes whatever the pending count.
-_CHUNK = 4096
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each of ``keys`` in the sorted array ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    slot = np.searchsorted(sorted_keys, keys)
+    slot[slot == sorted_keys.size] = 0
+    return sorted_keys[slot] == keys
 
 
-def _any_common_bit(
-    table_a: np.ndarray,
-    rows_a: np.ndarray,
-    table_b: np.ndarray,
-    rows_b: np.ndarray,
-) -> np.ndarray:
-    """``(table_a[rows_a] & table_b[rows_b]).any(axis=1)`` over packed
-    bitset rows, evaluated ``_CHUNK`` pairs at a time."""
-    hit = np.zeros(rows_a.size, dtype=bool)
-    for start in range(0, rows_a.size, _CHUNK):
-        stop = start + _CHUNK
-        hit[start:stop] = (
-            table_a[rows_a[start:stop]] & table_b[rows_b[start:stop]]
-        ).any(axis=1)
-    return hit
+def _expand(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, neighbor)`` for every CSR neighbor of every entry of
+    ``nodes``; ``owner`` indexes ``nodes`` and is non-decreasing."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    owner = np.repeat(np.arange(nodes.size), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return owner, indices[np.arange(owner.size) + shift[owner]]
 
 
 def validate_request_chain(

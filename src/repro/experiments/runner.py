@@ -3,7 +3,7 @@
 One run mirrors the authors' C++ simulation:
 
 1. place ``n`` nodes uniformly in the field and build the
-   physical-neighbor pair list;
+   physical-neighbor pair array;
 2. run the pre-distribution assignment;
 3. compromise ``q`` random nodes, giving the jammer its code set;
 4. sample every physical pair's D-NDP outcome under the chosen jamming
@@ -21,7 +21,7 @@ per-pair :class:`repro.core.dndp.DNDPSampler`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -332,7 +332,9 @@ class NetworkExperiment:
         positions = uniform_positions(
             field, config.n_nodes, seeds.rng("placement")
         )
-        pairs = field.neighbor_pairs(positions)
+        pairs = np.asarray(
+            field.neighbor_pairs(positions), dtype=np.int64
+        ).reshape(-1, 2)
         mean_degree = (
             2.0 * len(pairs) / config.n_nodes if config.n_nodes else 0.0
         )
@@ -349,12 +351,11 @@ class NetworkExperiment:
             self._strategy, compromise, config.z_jamming_signals, config.mu
         )
 
-        pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if self._link_model == "independent":
             direct = self._sample_independent(pairs, seeds.rng("jamming"))
         elif config.phy_backend == "chipless":
             direct = self._sample_dndp_chipless(
-                pair_array, assignment, jamming, seeds.rng("jamming")
+                pairs, assignment, jamming, seeds.rng("jamming")
             )
         elif config.phy_backend == "chip":
             direct = self._sample_dndp_chip(
@@ -362,12 +363,12 @@ class NetworkExperiment:
             )
         else:
             direct = self._sample_dndp(
-                pair_array, assignment, jamming, seeds.rng("jamming")
+                pairs, assignment, jamming, seeds.rng("jamming")
             )
         logical = LogicalGraph(config.n_nodes)
-        logical.add_links(pair_array[direct])
+        logical.add_links(pairs[direct])
         recovered = MNDPSampler(config.nu).discover(
-            pair_array, logical, rounds=self._mndp_rounds
+            pairs, logical, rounds=self._mndp_rounds
         )
 
         mean_latency = None
@@ -401,7 +402,7 @@ class NetworkExperiment:
 
     def _sample_independent(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """The i.i.d. link model: Bernoulli(P) per physical pair with
@@ -419,7 +420,7 @@ class NetworkExperiment:
 
     def _sample_dndp(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         assignment,
         jamming: JammingModel,
         rng: np.random.Generator,
@@ -462,24 +463,23 @@ class NetworkExperiment:
 
     def _shared_code_counts(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         assignment,
         jamming: JammingModel,
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """``(start, safe_count, comp_count)`` per chunk of ``_CHUNK``
         pairs: how many codes each pair shares that the jammer does not
-        and does know (:func:`shared_code_counts`)."""
-        pair_array = np.asarray(pairs, dtype=np.int64)
+        and does know (:func:`shared_code_counts`) for the ``(k, 2)``
+        pair array."""
         compromised = compromised_mask(assignment.pool_size, jamming)
-        for start in range(0, len(pair_array), _CHUNK):
+        for start in range(0, len(pairs), _CHUNK):
             yield (start, *shared_code_counts(
-                assignment.codes, compromised,
-                pair_array[start : start + _CHUNK],
+                assignment.codes, compromised, pairs[start : start + _CHUNK]
             ))
 
     def _sample_dndp_chipless(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         assignment,
         jamming: JammingModel,
         rng: np.random.Generator,
@@ -517,7 +517,7 @@ class NetworkExperiment:
 
     def _sample_dndp_chip(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         assignment,
         jamming: JammingModel,
         seeds: SeedSequencer,
@@ -533,7 +533,7 @@ class NetworkExperiment:
         from repro.dsss.phy import make_pair_phy
         from repro.dsss.spread_code import CodePool
 
-        if not pairs:
+        if len(pairs) == 0:
             return np.zeros(0, dtype=bool)
         config = self._config
         pool_seed = int(seeds.rng("phy-pool").integers(0, 2**31 - 1))
@@ -546,7 +546,7 @@ class NetworkExperiment:
         success = np.zeros(len(pairs), dtype=bool)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
-            for index, (a, b) in enumerate(pairs):
+            for index, (a, b) in enumerate(pairs.tolist()):
                 outcome = sampler.sample_pair(
                     assignment.shared_codes(a, b), rng
                 )

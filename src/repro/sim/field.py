@@ -100,11 +100,10 @@ class RectangularField:
         check_positive("n_nodes", n_nodes)
         return (n_nodes - 1) * math.pi * self._range**2 / self.area
 
-    def neighbor_pairs(
-        self, positions: Sequence[Position]
-    ) -> List[Tuple[int, int]]:
+    def neighbor_pairs(self, positions: Sequence[Position]) -> np.ndarray:
         """All index pairs ``(i, j), i < j`` within transmission range,
-        as a sorted list of int tuples.
+        as a ``(k, 2)`` int64 array in lexicographic order (``(0, 2)``
+        when there are none).
 
         Nodes are bucketed into vertical strips of width ``tx_range``
         (any in-range pair sits in the same or adjacent strips) and each
@@ -112,11 +111,12 @@ class RectangularField:
         dense squared-distance screen.  Survivors are confirmed with
         ``np.hypot``, the correctly-rounded double :meth:`in_range`'s
         ``math.hypot`` computes, so the boundary decision matches it
-        bit for bit.
+        bit for bit.  Each strip contributes pair keys ``i * n + j``;
+        one sort of the keys gives the lexicographic order.
         """
         n = len(positions)
         if n < 2:
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         pos = np.asarray(positions, dtype=np.float64)
         x = pos[:, 0]
         y = pos[:, 1]
@@ -127,12 +127,12 @@ class RectangularField:
         strips, starts = np.unique(strip_of[order], return_index=True)
         strips = strips.tolist()
         bounds = starts.tolist() + [n]
-        pairs: List[Tuple[int, int]] = []
+        keys: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
         def confirm(low: np.ndarray, high: np.ndarray) -> None:
             exact = np.hypot(x[low] - x[high], y[low] - y[high])
             keep = exact <= radius
-            pairs.extend(zip(low[keep].tolist(), high[keep].tolist()))
+            keys.append(low[keep] * n + high[keep])
 
         for t in range(len(strips)):
             a_idx = order[bounds[t] : bounds[t + 1]]
@@ -153,7 +153,7 @@ class RectangularField:
                 confirm(
                     np.minimum(left, right), np.maximum(left, right)
                 )
-        return sorted(pairs)
+        return np.stack(np.divmod(np.sort(np.concatenate(keys)), n), axis=1)
 
     def adjacency(
         self, positions: Sequence[Position]
@@ -162,7 +162,7 @@ class RectangularField:
         neighbors: Dict[int, Set[int]] = {
             i: set() for i in range(len(positions))
         }
-        for i, j in self.neighbor_pairs(positions):
+        for i, j in self.neighbor_pairs(positions).tolist():
             neighbors[i].add(j)
             neighbors[j].add(i)
         return neighbors

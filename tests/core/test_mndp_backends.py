@@ -1,13 +1,18 @@
 """The M-NDP closure against the networkx shortest-path oracle."""
 
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.config import JRSNDConfig
 from repro.core.mndp import LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, installed
+from repro.sim.field import RectangularField
+from repro.sim.mobility import uniform_positions
 from tests import oracles
 
 
@@ -38,8 +43,28 @@ def _edges(graph):
     return {tuple(sorted(edge)) for edge in graph.edge_array().tolist()}
 
 
+#: ``(n, logical edges, physical pairs, excluded nodes)``: a path
+#: 0-1-2-3-4-5 with a spur 2-6, and node 7 isolated.
+_PATH = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]
+_EDGE_CASES = {
+    "empty-logical-graph": (6, [], [(0, 1), (2, 5), (1, 4)], ()),
+    "no-physical-pairs": (8, _PATH, [], ()),
+    "isolated-nodes": (8, _PATH, [(0, 7), (7, 5), (0, 2), (1, 6)], ()),
+    "excluded-endpoints": (
+        8, _PATH, [(0, 2), (1, 3), (3, 5), (0, 6), (4, 6)], (3,)
+    ),
+    "excluded-relay": (8, _PATH, [(0, 2), (1, 4), (0, 5), (6, 4)], (2,)),
+    "reversed-and-duplicates": (
+        8,
+        _PATH,
+        [(2, 0), (0, 2), (5, 0), (0, 3), (3, 0), (6, 5), (5, 6), (0, 3)],
+        (),
+    ),
+}
+
+
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("nu", [1, 2, 3, 5])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 5, 8])
     def test_one_round_identical_dicts(self, nu):
         # One round's outcome is a pair -> hop-count map in pending
         # order: the discovered set carries the pairs, and the
@@ -107,6 +132,24 @@ class TestBackendEquivalence:
             assert want.counters == got.counters
             assert want.histograms == got.histograms
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("nu", [2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_edge_cases_identical(self, case, nu, rounds):
+        n, edges, pairs, exclude = _EDGE_CASES[case]
+        graph = LogicalGraph(n)
+        graph.add_links(edges)
+        sampler = MNDPSampler(nu, exclude=exclude)
+        want, want_metrics = _recorded(
+            oracles.discover, sampler, pairs, graph, rounds
+        )
+        got, got_metrics = _recorded(
+            MNDPSampler.discover, sampler, pairs, graph, rounds
+        )
+        assert want == got
+        assert want_metrics.counters == got_metrics.counters
+        assert want_metrics.histograms == got_metrics.histograms
+
     def test_unknown_backend_rejected(self):
         # There is one closure; a caller still naming a backend fails
         # loudly instead of having the choice ignored.
@@ -142,3 +185,37 @@ class TestLogicalGraphBulk:
         graph.add_link(0, 1)
         graph.add_links(np.array([[1, 2], [3, 4]]))
         assert _edges(graph) == {(0, 1), (1, 2), (3, 4)}
+
+
+def _discover_alloc_peak(n_nodes):
+    """Traced allocation peak of one M-NDP closure on a paper-density
+    field of ``n_nodes`` nodes whose pairs linked directly with
+    probability 0.6."""
+    base = JRSNDConfig()
+    scale = math.sqrt(n_nodes / base.n_nodes)
+    field = RectangularField(
+        base.field_width * scale, base.field_height * scale, base.tx_range
+    )
+    rng = np.random.default_rng(5)
+    pairs = field.neighbor_pairs(uniform_positions(field, n_nodes, rng))
+    graph = LogicalGraph(n_nodes)
+    graph.add_links(pairs[rng.random(len(pairs)) < 0.6])
+    sampler = MNDPSampler(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sampler.discover(pairs, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+class TestMemoryScaling:
+    def test_discover_peak_linear_in_nodes(self):
+        # An n x n link matrix grows 16x at 4x the nodes; the closure's
+        # edge keys, CSR relay adjacency and per-pair frontiers grow
+        # with the edge and pair counts, i.e. 4x at equal density.
+        small = _discover_alloc_peak(800)
+        large = _discover_alloc_peak(3200)
+        assert large < 6 * small, (small, large)

@@ -222,7 +222,8 @@ class TestVectorizedSamplerEquivalence:
             ]
             exp = NetworkExperiment(config, seed=0, strategy=strategy)
             vector = exp._sample_dndp(
-                pairs, assignment, jamming, derive_rng(1, "v")
+                np.array(pairs, dtype=np.int64), assignment, jamming,
+                derive_rng(1, "v"),
             )
             sampler = DNDPSampler(config, jamming)
             reference = np.array(

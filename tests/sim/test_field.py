@@ -52,18 +52,20 @@ class TestNeighborPairs:
     def test_matches_brute_force(self, rng):
         field = RectangularField(1000, 1000, 120)
         positions = uniform_positions(field, 150, rng)
-        fast = set(field.neighbor_pairs(positions))
-        brute = {
-            (i, j)
+        fast = field.neighbor_pairs(positions)
+        brute = [
+            [i, j]
             for i in range(150)
             for j in range(i + 1, 150)
             if field.in_range(positions[i], positions[j])
-        }
-        assert fast == brute
+        ]
+        assert fast.dtype == np.int64 and fast.shape == (len(brute), 2)
+        assert fast.tolist() == brute
 
     def test_empty(self):
         field = RectangularField(10, 10, 1)
-        assert field.neighbor_pairs([]) == []
+        pairs = field.neighbor_pairs([])
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
     def test_adjacency_symmetric(self, rng):
         field = RectangularField(500, 500, 100)
