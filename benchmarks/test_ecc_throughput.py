@@ -1,13 +1,14 @@
-"""ECC hot-path bench: vectorized GF(256) kernels vs the naive loops.
+"""ECC hot-path bench: vectorized GF(256) kernels vs the per-word oracle.
 
 Two gates:
 
 1. **Jammed-HELLO decode.**  A batch of HELLO-sized Reed-Solomon words
    (the per-pair hot shape: k = 3 data symbols, 3 parity symbols at the
    Table I ``mu = 1``) corrupted with random in-capability
-   errors+erasures, decoded by both backends.  Asserts bit-identical
-   outputs and a 10x speedup of the vectorized backend (relaxed in
-   smoke mode).
+   errors+erasures, decoded by ``ReedSolomonCodec.decode_batch`` and by
+   the per-word scalar oracle (``tests.oracles.rs_decode_batch``).
+   Asserts bit-identical outputs and a 10x speedup of the codec
+   (relaxed in smoke mode).
 2. **End-to-end runner.**  ``NetworkExperiment`` at the Table I
    defaults inside ``tests.oracles.reference_pipeline()`` (the
    plain-loop reference layers) vs the production pipeline: identical
@@ -32,7 +33,11 @@ import numpy as np
 from repro.core.config import JRSNDConfig
 from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.experiments.runner import NetworkExperiment
-from tests.oracles import reference_pipeline
+from tests.oracles import (
+    reference_pipeline,
+    rs_decode_batch,
+    rs_encode_batch,
+)
 
 HELLO_DATA_SYMBOLS = 3   # 21 plain bits -> 3 byte symbols
 HELLO_PARITY_SYMBOLS = 3  # ceil(mu * k) at the Table I mu = 1
@@ -51,11 +56,11 @@ def _jammed_hello_batch(seed: int, batch: int):
     shape the batched decode path is built for.
     """
     rng = np.random.default_rng(seed)
-    encoder = ReedSolomonCodec(HELLO_PARITY_SYMBOLS, backend="naive")
+    encoder = ReedSolomonCodec(HELLO_PARITY_SYMBOLS)
     messages = rng.integers(
         0, 256, size=(batch, HELLO_DATA_SYMBOLS), dtype=np.uint8
     ).tolist()
-    words = encoder.encode_batch(messages)
+    words = rs_encode_batch(encoder, messages)
     n = HELLO_DATA_SYMBOLS + HELLO_PARITY_SYMBOLS
     erasure_lists = []
     for word in words:
@@ -67,11 +72,14 @@ def _jammed_hello_batch(seed: int, batch: int):
     return messages, words, erasure_lists
 
 
-def _decode_time(backend: str, words, erasure_lists):
-    codec = ReedSolomonCodec(HELLO_PARITY_SYMBOLS, backend=backend)
+def _decode_time(oracle: bool, words, erasure_lists):
+    codec = ReedSolomonCodec(HELLO_PARITY_SYMBOLS)
     copies = [list(word) for word in words]
     start = time.perf_counter()
-    decoded = codec.decode_batch(copies, erasure_lists)
+    if oracle:
+        decoded = rs_decode_batch(codec, copies, erasure_lists)
+    else:
+        decoded = codec.decode_batch(copies, erasure_lists)
     return time.perf_counter() - start, decoded
 
 
@@ -83,17 +91,17 @@ def test_vectorized_rs_speedup_on_jammed_hellos(
     messages, words, erasure_lists = _jammed_hello_batch(seed, batch)
 
     def compare():
-        # Warm both backends once (table/generator construction, lru
+        # Warm both paths once (table/generator construction, lru
         # caches), then score the best of three timed passes each.
-        _decode_time("naive", words[:64], erasure_lists[:64])
-        _decode_time("vectorized", words[:64], erasure_lists[:64])
+        _decode_time(True, words[:64], erasure_lists[:64])
+        _decode_time(False, words[:64], erasure_lists[:64])
         naive_t, naive_d = min(
-            (_decode_time("naive", words, erasure_lists)
+            (_decode_time(True, words, erasure_lists)
              for _ in range(3)),
             key=lambda pair: pair[0],
         )
         vec_t, vec_d = min(
-            (_decode_time("vectorized", words, erasure_lists)
+            (_decode_time(False, words, erasure_lists)
              for _ in range(3)),
             key=lambda pair: pair[0],
         )

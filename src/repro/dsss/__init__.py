@@ -8,19 +8,8 @@ position inside a chip buffer.
 """
 
 from repro.dsss.channel import ChannelTransmission, ChipChannel
-from repro.dsss.correlator import (
-    code_matrix,
-    correlate,
-    correlate_many,
-    decide_bit,
-)
-from repro.dsss.engine import (
-    CORRELATION_BACKENDS,
-    BatchedCorrelationEngine,
-    CorrelationEngine,
-    NaiveCorrelationEngine,
-    make_engine,
-)
+from repro.dsss.correlator import code_matrix, correlate, decide_bit
+from repro.dsss.engine import CorrelationEngine
 from repro.dsss.frame import Frame, FrameCodec, MessageType
 from repro.dsss.modulation import BPSKModulator
 from repro.dsss.phy import (
@@ -47,14 +36,9 @@ __all__ = [
     "spread",
     "despread",
     "correlate",
-    "correlate_many",
     "code_matrix",
     "decide_bit",
     "CorrelationEngine",
-    "NaiveCorrelationEngine",
-    "BatchedCorrelationEngine",
-    "CORRELATION_BACKENDS",
-    "make_engine",
     "ChipChannel",
     "ChannelTransmission",
     "SlidingWindowSynchronizer",

@@ -15,7 +15,7 @@ import numpy as np
 from repro.dsss.spread_code import SpreadCode
 from repro.errors import SpreadCodeError
 
-__all__ = ["correlate", "correlate_many", "code_matrix", "decide_bit"]
+__all__ = ["correlate", "code_matrix", "decide_bit"]
 
 
 def correlate(window: np.ndarray, code: SpreadCode) -> float:
@@ -26,9 +26,8 @@ def correlate(window: np.ndarray, code: SpreadCode) -> float:
 def code_matrix(codes: Sequence[SpreadCode]) -> np.ndarray:
     """Stack several codes into one ``(m x N)`` float64 chip matrix.
 
-    All codes must share the same chip length.  The batched correlation
-    engines build this once per synchronizer; :func:`correlate_many`
-    rebuilds it per call (the naive reference behaviour).
+    All codes must share the same chip length.  The correlation engine
+    builds this once per synchronizer.
     """
     if not codes:
         raise SpreadCodeError("cannot stack an empty code set")
@@ -36,28 +35,6 @@ def code_matrix(codes: Sequence[SpreadCode]) -> np.ndarray:
     if any(code.length != n for code in codes):
         raise SpreadCodeError("codes must all share one chip length")
     return np.stack([code.chips for code in codes]).astype(np.float64)
-
-
-def correlate_many(
-    buffer: np.ndarray, codes: Sequence[SpreadCode], position: int
-) -> np.ndarray:
-    """Correlate the window starting at ``position`` against several codes.
-
-    Returns an array of one correlation per code.  All codes must share the
-    same length, and the window must fit inside ``buffer``.
-    """
-    if not codes:
-        return np.zeros(0, dtype=np.float64)
-    matrix = code_matrix(codes)
-    n = matrix.shape[1]
-    buffer = np.asarray(buffer, dtype=np.float64)
-    if position < 0 or position + n > buffer.size:
-        raise SpreadCodeError(
-            f"window [{position}, {position + n}) out of buffer "
-            f"of {buffer.size} chips"
-        )
-    window = buffer[position : position + n]
-    return matrix @ window / n
 
 
 def decide_bit(correlation: float, tau: float) -> Optional[int]:

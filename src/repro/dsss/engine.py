@@ -1,38 +1,29 @@
-"""Correlation engines for the sliding-window acquisition search.
+"""The correlation engine for the sliding-window acquisition search.
 
 The receiver's synchronization cost — the ``t_p = rho * N * m * R * t_b``
 the paper's whole buffer/process schedule is built around (Section V-B) —
 is dominated by evaluating one normalized correlation per (window
-position, code) pair.  This module factors that evaluation out of
-:class:`~repro.dsss.synchronizer.SlidingWindowSynchronizer` behind a small
-engine interface so the *search semantics* (first threshold crossing,
-confirmation blocks, work accounting) stay in one place while the
-*arithmetic* can be swapped:
+position, code) pair.  :class:`CorrelationEngine` evaluates those over
+whole blocks of positions, so
+:class:`~repro.dsss.synchronizer.SlidingWindowSynchronizer` keeps the
+*search semantics* (first threshold crossing, confirmation blocks, work
+accounting) while the engine does the *arithmetic*, on one of two paths:
 
-``naive``
-    The reference backend: one :func:`~repro.dsss.correlator.correlate_many`
-    call per window position, exactly the original per-chip Python loop
-    (including its re-stacking of the code matrix on every position).  It
-    exists so the batched backends can be checked for bit-identical lock
-    decisions and so benchmarks have an honest baseline.
+matmul
+    Views the buffer as a ``(positions x N)`` matrix with
+    :func:`numpy.lib.stride_tricks.sliding_window_view` (no copy) and
+    evaluates a block of positions against the ``(N x m)`` code matrix,
+    stacked once per engine, with a single matmul.
 
-``batched``
-    Precomputes the stacked ``(N x m)`` code matrix once, views the buffer
-    as a ``(positions x N)`` matrix with
-    :func:`numpy.lib.stride_tricks.sliding_window_view` (no copy), and
-    evaluates a whole block of positions with a single matmul.
+FFT
+    Correlating every position against one code is a cross-correlation
+    of the buffer with the reversed code, computed in
+    ``O((B + N) log(B + N))`` per code instead of ``O(B * N)``.  Chosen
+    once ``N`` reaches ``fft_min_length`` (the paper's ``N = 512``
+    qualifies).
 
-``fft``
-    The same engine forced onto its FFT cross-correlation path, which the
-    ``batched`` engine selects automatically once ``N`` is large enough
-    (the paper's ``N = 512`` qualifies): correlating every position
-    against one code is a cross-correlation of the buffer with the
-    reversed code, computed in ``O((B + N) log(B + N))`` per code
-    instead of ``O(B * N)``.
-
-All backends return plain float64 correlation blocks; the synchronizer's
-threshold/confirm/accounting logic on top of them is backend-independent,
-so ``SyncResult`` sequences are identical whichever engine computed them.
+Both paths return plain float64 correlation blocks, so ``SyncResult``
+sequences are identical whichever path computed them.
 """
 
 from __future__ import annotations
@@ -42,121 +33,21 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.dsss.correlator import code_matrix, correlate_many
+from repro.dsss.correlator import code_matrix
 from repro.dsss.spread_code import SpreadCode
-from repro.errors import ConfigurationError, SpreadCodeError
+from repro.errors import SpreadCodeError
 
-__all__ = [
-    "CorrelationEngine",
-    "NaiveCorrelationEngine",
-    "BatchedCorrelationEngine",
-    "CORRELATION_BACKENDS",
-    "make_engine",
-]
+__all__ = ["CorrelationEngine"]
 
 
 class CorrelationEngine:
-    """Evaluates window-vs-code correlations over a block of positions.
+    """Block correlation of buffer windows against a code set.
 
     Parameters
     ----------
     codes:
         The monitored spread-code set.  All codes must share one chip
         length ``N``.
-    """
-
-    def __init__(self, codes: Sequence[SpreadCode]) -> None:
-        if not codes:
-            raise SpreadCodeError(
-                "a correlation engine needs at least one code"
-            )
-        lengths = {code.length for code in codes}
-        if len(lengths) != 1:
-            raise SpreadCodeError(
-                f"all codes must share one chip length, got {lengths}"
-            )
-        self._codes = tuple(codes)
-        self._chip_length = self._codes[0].length
-
-    @property
-    def codes(self) -> Sequence[SpreadCode]:
-        """The monitored codes, in scan order."""
-        return self._codes
-
-    @property
-    def n_codes(self) -> int:
-        """Number of monitored codes, the paper's ``m``."""
-        return len(self._codes)
-
-    @property
-    def chip_length(self) -> int:
-        """Chip length ``N`` shared by the codes."""
-        return self._chip_length
-
-    @property
-    def block_size(self) -> int:
-        """Preferred number of window positions per :meth:`correlate_block`.
-
-        The synchronizer uses this to size its requests; an engine that
-        gains nothing from batching (the naive reference) returns 1 so a
-        scan that locks early computes no more correlations than the
-        original per-position loop.
-        """
-        return 1
-
-    def correlate_block(
-        self, buffer: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Correlations for every window position in ``[start, stop)``.
-
-        ``buffer`` must be float64 and every window ``[p, p + N)`` for
-        ``p`` in the range must fit inside it.  Returns a
-        ``(stop - start, n_codes)`` float64 array whose ``[i, j]`` entry
-        is the normalized correlation of the window at ``start + i``
-        against code ``j``.
-        """
-        raise NotImplementedError
-
-    def _check_range(
-        self, buffer: np.ndarray, start: int, stop: int
-    ) -> None:
-        if start < 0 or stop < start:
-            raise SpreadCodeError(
-                f"invalid position range [{start}, {stop})"
-            )
-        if stop > start and stop - 1 + self._chip_length > buffer.size:
-            raise SpreadCodeError(
-                f"window [{stop - 1}, {stop - 1 + self._chip_length}) out "
-                f"of buffer of {buffer.size} chips"
-            )
-
-
-class NaiveCorrelationEngine(CorrelationEngine):
-    """The original per-position reference path.
-
-    Deliberately preserves the pre-batching cost profile — one
-    :func:`correlate_many` call (which re-stacks the code matrix) per
-    position — so it can serve both as the equivalence reference and as
-    the benchmark baseline the batched engines are measured against.
-    """
-
-    def correlate_block(
-        self, buffer: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        self._check_range(buffer, start, stop)
-        out = np.empty((stop - start, self.n_codes), dtype=np.float64)
-        for i, position in enumerate(range(start, stop)):
-            out[i] = correlate_many(buffer, self._codes, position)
-        return out
-
-
-class BatchedCorrelationEngine(CorrelationEngine):
-    """Matrix-batched correlation over blocks of window positions.
-
-    Parameters
-    ----------
-    codes:
-        The monitored spread-code set.
     block_size:
         Positions evaluated per matmul; bounds the transient
         ``(block x m)`` correlation matrix.
@@ -177,7 +68,15 @@ class BatchedCorrelationEngine(CorrelationEngine):
         block_size: int = 4096,
         fft_min_length: int = 128,
     ) -> None:
-        super().__init__(codes)
+        if not codes:
+            raise SpreadCodeError(
+                "a correlation engine needs at least one code"
+            )
+        lengths = {code.length for code in codes}
+        if len(lengths) != 1:
+            raise SpreadCodeError(
+                f"all codes must share one chip length, got {lengths}"
+            )
         if block_size <= 0:
             raise SpreadCodeError(
                 f"block_size must be positive, got {block_size}"
@@ -186,15 +85,32 @@ class BatchedCorrelationEngine(CorrelationEngine):
             raise SpreadCodeError(
                 f"fft_min_length must be positive, got {fft_min_length}"
             )
+        self._codes = tuple(codes)
+        self._chip_length = self._codes[0].length
         self._block_size = int(block_size)
         self._use_fft = self._chip_length >= int(fft_min_length)
         # Stacked once per engine: (N x m), so a block correlates as
-        # (block x N) @ (N x m) — the original code re-stacked this on
-        # every single window position.
+        # (block x N) @ (N x m).
         self._matrix_t = np.ascontiguousarray(code_matrix(self._codes).T)
 
     @property
+    def codes(self) -> Sequence[SpreadCode]:
+        """The monitored codes, in scan order."""
+        return self._codes
+
+    @property
+    def n_codes(self) -> int:
+        """Number of monitored codes, the paper's ``m``."""
+        return len(self._codes)
+
+    @property
+    def chip_length(self) -> int:
+        """Chip length ``N`` shared by the codes."""
+        return self._chip_length
+
+    @property
     def block_size(self) -> int:
+        """Preferred number of window positions per :meth:`correlate_block`."""
         return self._block_size
 
     @property
@@ -205,6 +121,14 @@ class BatchedCorrelationEngine(CorrelationEngine):
     def correlate_block(
         self, buffer: np.ndarray, start: int, stop: int
     ) -> np.ndarray:
+        """Correlations for every window position in ``[start, stop)``.
+
+        ``buffer`` must be float64 and every window ``[p, p + N)`` for
+        ``p`` in the range must fit inside it.  Returns a
+        ``(stop - start, n_codes)`` float64 array whose ``[i, j]`` entry
+        is the normalized correlation of the window at ``start + i``
+        against code ``j``.
+        """
         self._check_range(buffer, start, stop)
         if stop == start:
             return np.zeros((0, self.n_codes), dtype=np.float64)
@@ -212,6 +136,19 @@ class BatchedCorrelationEngine(CorrelationEngine):
             return self._correlate_fft(buffer, start, stop)
         windows = sliding_window_view(buffer, self._chip_length)[start:stop]
         return windows @ self._matrix_t / self._chip_length
+
+    def _check_range(
+        self, buffer: np.ndarray, start: int, stop: int
+    ) -> None:
+        if start < 0 or stop < start:
+            raise SpreadCodeError(
+                f"invalid position range [{start}, {stop})"
+            )
+        if stop > start and stop - 1 + self._chip_length > buffer.size:
+            raise SpreadCodeError(
+                f"window [{stop - 1}, {stop - 1 + self._chip_length}) out "
+                f"of buffer of {buffer.size} chips"
+            )
 
     def _correlate_fft(
         self, buffer: np.ndarray, start: int, stop: int
@@ -234,27 +171,3 @@ class BatchedCorrelationEngine(CorrelationEngine):
         conv = np.fft.irfft(segment_f[:, np.newaxis] * codes_f,
                             fft_len, axis=0)
         return conv[n - 1 : n - 1 + count] / n
-
-
-CORRELATION_BACKENDS = ("naive", "batched", "fft")
-
-
-def make_engine(
-    codes: Sequence[SpreadCode], backend: str = "batched"
-) -> CorrelationEngine:
-    """Build the correlation engine named by ``backend``.
-
-    ``naive`` is the per-position reference, ``batched`` auto-selects
-    matmul or FFT by chip length, ``fft`` forces the FFT path (mainly
-    for tests and large-``N`` deployments).
-    """
-    if backend == "naive":
-        return NaiveCorrelationEngine(codes)
-    if backend == "batched":
-        return BatchedCorrelationEngine(codes)
-    if backend == "fft":
-        return BatchedCorrelationEngine(codes, fft_min_length=1)
-    raise ConfigurationError(
-        f"correlation backend must be one of {CORRELATION_BACKENDS}, "
-        f"got {backend!r}"
-    )

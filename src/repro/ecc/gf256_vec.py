@@ -20,8 +20,7 @@ primitives the codec needs:
   batch.
 
 All kernels are bit-identical to their scalar counterparts in
-:class:`repro.ecc.gf256.GF256` — the scalar code remains the reference
-the vectorized backend is property-tested against.
+:class:`repro.ecc.gf256.GF256`, against which they are property-tested.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """repro.lint — determinism-aware static analysis for JR-SND.
 
-The reproduction's headline claims (bit-identical backend parity, the
+The reproduction's headline claims (bit-identical oracle parity, the
 exact ``(l-1)·γ`` DoS bound, seeded chaos soaks) rest on conventions —
 seeded RNG only, simulated time only, narrowed excepts, registered
 metric names — that nothing structural used to enforce.  This package

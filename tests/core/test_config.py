@@ -92,18 +92,15 @@ class TestValidation:
 
 
 class TestCorrelationBackend:
-    def test_default_is_batched(self):
-        assert default_config().correlation_backend == "batched"
-
-    def test_all_backends_accepted(self):
-        for backend in ("naive", "batched", "fft"):
-            config = JRSNDConfig(correlation_backend=backend)
-            assert config.correlation_backend == backend
+    """There is one correlation engine and one Reed-Solomon codec, so
+    the config has no knob choosing between implementations."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            JRSNDConfig(correlation_backend="vectorised")
+        for knob in ("correlation_backend", "ecc_backend"):
+            with pytest.raises(TypeError):
+                JRSNDConfig(**{knob: "naive"})
 
     def test_replace_validates_backend(self):
-        with pytest.raises(ConfigurationError):
-            default_config().replace(correlation_backend="")
+        for knob in ("correlation_backend", "ecc_backend"):
+            with pytest.raises(TypeError):
+                default_config().replace(**{knob: "naive"})

@@ -53,18 +53,17 @@ class TestBuildSynchronizer:
         sync = node.build_synchronizer()
         active = sorted(node.revocation.active_codes())
         assert [c.code_id for c in sync.codes] == active
-        # Defaults follow the config: coded HELLO length, batched engine.
+        # Coded HELLO length by default; the engine scans in blocks.
         assert sync.message_bits == node.config.hello_coded_bits
         assert sync.engine.block_size > 1
 
-    def test_naive_backend_threads_through(self, small_config):
-        from repro.experiments.scenarios import build_event_network
-
-        config = small_config.replace(correlation_backend="naive")
-        net = build_event_network(config, seed=11)
-        sync = net.nodes[0].build_synchronizer(message_bits=8)
-        assert sync.engine.block_size == 1
-        assert sync.message_bits == 8
+    def test_message_bits_override_reuses_cached_engine(self, net):
+        node = net.nodes[0]
+        default = node.build_synchronizer()
+        short = node.build_synchronizer(message_bits=8)
+        assert short.message_bits == 8
+        # The engine is memoized per code set in the artifact cache.
+        assert short.engine is default.engine
 
     def test_all_revoked_raises(self, net):
         from repro.errors import ConfigurationError

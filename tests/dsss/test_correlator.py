@@ -1,11 +1,13 @@
-"""Unit tests for correlation primitives."""
+"""Unit tests for correlation primitives (and the per-position
+correlation oracle :func:`tests.oracles.correlate_many`)."""
 
 import numpy as np
 import pytest
 
-from repro.dsss.correlator import correlate, correlate_many, decide_bit
+from repro.dsss.correlator import correlate, decide_bit
 from repro.dsss.spread_code import SpreadCode
 from repro.errors import SpreadCodeError
+from tests.oracles import correlate_many
 
 
 class TestCorrelate:

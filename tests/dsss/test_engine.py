@@ -1,25 +1,28 @@
-"""Unit and equivalence tests for the correlation engines.
+"""Unit and equivalence tests for the correlation engine.
 
-The batched backends must be drop-in replacements for the naive
-per-position reference: same correlation values (to float tolerance),
-same lock decisions, same work accounting — on clean, superposed, and
-jammed channels alike.
+Both paths of :class:`~repro.dsss.engine.CorrelationEngine` — the block
+matmul (``batched``) and the FFT cross-correlation (``fft``) — must be
+drop-in replacements for the per-position oracle (``naive``,
+:class:`tests.oracles.PerPositionCorrelationEngine`): same correlation
+values (to float tolerance), same lock decisions, same work accounting —
+on clean, superposed, and jammed channels alike.
 """
 
 import numpy as np
 import pytest
 
 from repro.dsss.channel import ChipChannel
-from repro.dsss.correlator import correlate_many
-from repro.dsss.engine import (
-    CORRELATION_BACKENDS,
-    BatchedCorrelationEngine,
-    NaiveCorrelationEngine,
-    make_engine,
-)
+from repro.dsss.engine import CorrelationEngine
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
-from repro.errors import ConfigurationError, SpreadCodeError
+from repro.errors import SpreadCodeError
+from tests.oracles import (
+    ENGINE_NAMES,
+    MATMUL_ONLY,
+    PerPositionCorrelationEngine,
+    correlate_many,
+    correlation_engine,
+)
 
 
 def _make_codes(rng, n=4, length=512):
@@ -29,45 +32,53 @@ def _make_codes(rng, n=4, length=512):
 class TestEngineConstruction:
     def test_needs_codes(self):
         with pytest.raises(SpreadCodeError):
-            NaiveCorrelationEngine([])
+            CorrelationEngine([])
 
     def test_mixed_lengths(self, rng):
         codes = [SpreadCode.random(8, rng, 0), SpreadCode.random(16, rng, 1)]
         with pytest.raises(SpreadCodeError):
-            BatchedCorrelationEngine(codes)
+            CorrelationEngine(codes)
 
     def test_unknown_backend(self, rng):
-        with pytest.raises(ConfigurationError):
-            make_engine(_make_codes(rng, length=16), "vectorised")
+        # There is one engine; the synchronizer takes no backend name.
+        with pytest.raises(TypeError):
+            SlidingWindowSynchronizer(
+                _make_codes(rng, length=16), tau=0.15, message_bits=4,
+                backend="naive",
+            )
 
     def test_backend_names_resolve(self, rng):
         codes = _make_codes(rng, length=64)
-        for name in CORRELATION_BACKENDS:
-            engine = make_engine(codes, name)
+        for name in ENGINE_NAMES:
+            engine = correlation_engine(name, codes)
             assert engine.n_codes == 4
             assert engine.chip_length == 64
 
     def test_naive_block_size_is_one(self, rng):
-        # A naive scan that locks early must not compute whole blocks.
-        assert NaiveCorrelationEngine(_make_codes(rng, length=16)).block_size == 1
+        # An oracle scan that locks early must not compute whole blocks.
+        codes = _make_codes(rng, length=16)
+        assert PerPositionCorrelationEngine(codes).block_size == 1
 
     def test_fft_selection_by_length(self, rng):
-        small = BatchedCorrelationEngine(_make_codes(rng, length=32))
-        large = BatchedCorrelationEngine(_make_codes(rng, length=512))
+        small = CorrelationEngine(_make_codes(rng, length=32))
+        large = CorrelationEngine(_make_codes(rng, length=512))
         assert not small.uses_fft
         assert large.uses_fft
+        codes = _make_codes(rng, length=64)
+        assert not correlation_engine("batched", codes).uses_fft
+        assert correlation_engine("fft", codes).uses_fft
 
     def test_invalid_block_size(self, rng):
         with pytest.raises(SpreadCodeError):
-            BatchedCorrelationEngine(_make_codes(rng, length=16), block_size=0)
+            CorrelationEngine(_make_codes(rng, length=16), block_size=0)
 
 
 class TestCorrelateBlock:
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
-    def test_matches_correlate_many(self, rng, backend):
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_matches_correlate_many(self, rng, name):
         codes = _make_codes(rng, n=3, length=64)
         buffer = rng.normal(0.0, 1.0, size=500)
-        engine = make_engine(codes, backend)
+        engine = correlation_engine(name, codes)
         block = engine.correlate_block(buffer, 10, 200)
         assert block.shape == (190, 3)
         for i, position in enumerate((10, 57, 199)):
@@ -78,8 +89,8 @@ class TestCorrelateBlock:
     def test_matmul_and_fft_agree(self, rng):
         codes = _make_codes(rng, n=2, length=96)
         buffer = rng.normal(0.0, 1.0, size=1000)
-        matmul = BatchedCorrelationEngine(codes, fft_min_length=10_000)
-        fft = BatchedCorrelationEngine(codes, fft_min_length=1)
+        matmul = CorrelationEngine(codes, fft_min_length=MATMUL_ONLY)
+        fft = CorrelationEngine(codes, fft_min_length=1)
         assert not matmul.uses_fft and fft.uses_fft
         np.testing.assert_allclose(
             matmul.correlate_block(buffer, 0, 905),
@@ -87,15 +98,15 @@ class TestCorrelateBlock:
             atol=1e-9,
         )
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
-    def test_empty_range(self, rng, backend):
-        engine = make_engine(_make_codes(rng, length=16), backend)
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_empty_range(self, rng, name):
+        engine = correlation_engine(name, _make_codes(rng, length=16))
         buffer = rng.normal(0.0, 1.0, size=64)
         assert engine.correlate_block(buffer, 5, 5).shape == (0, 4)
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
-    def test_out_of_buffer(self, rng, backend):
-        engine = make_engine(_make_codes(rng, length=16), backend)
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_out_of_buffer(self, rng, name):
+        engine = correlation_engine(name, _make_codes(rng, length=16))
         buffer = rng.normal(0.0, 1.0, size=64)
         with pytest.raises(SpreadCodeError):
             engine.correlate_block(buffer, 0, 50)
@@ -106,39 +117,39 @@ class TestCorrelateBlock:
 class TestSynchronizerBackendWiring:
     def test_engine_instance_accepted(self, rng):
         codes = _make_codes(rng, length=64)
-        engine = BatchedCorrelationEngine(codes, block_size=7)
+        engine = CorrelationEngine(codes, block_size=7)
         sync = SlidingWindowSynchronizer(
-            codes, tau=0.15, message_bits=4, backend=engine
+            codes, tau=0.15, message_bits=4, engine=engine
         )
         assert sync.engine is engine
 
     def test_engine_code_set_must_match(self, rng):
         codes = _make_codes(rng, length=64)
         other = _make_codes(rng, n=2, length=64)
-        engine = BatchedCorrelationEngine(other)
+        engine = CorrelationEngine(other)
         with pytest.raises(SpreadCodeError):
             SlidingWindowSynchronizer(
-                codes, tau=0.15, message_bits=4, backend=engine
+                codes, tau=0.15, message_bits=4, engine=engine
             )
 
 
 def _equivalent_results(codes, buffer, message_bits, confirm_blocks=3,
                         tau=0.15):
-    """Run scan_all under every backend and assert identical sequences."""
+    """Run scan_all under every engine and assert identical sequences."""
     outcomes = {}
-    for backend in CORRELATION_BACKENDS:
+    for name in ENGINE_NAMES:
         sync = SlidingWindowSynchronizer(
             codes,
             tau=tau,
             message_bits=message_bits,
             confirm_blocks=confirm_blocks,
-            backend=backend,
+            engine=correlation_engine(name, codes),
         )
-        outcomes[backend] = sync.scan_all(buffer)
+        outcomes[name] = sync.scan_all(buffer)
     reference = outcomes["naive"]
-    for backend, results in outcomes.items():
+    for name, results in outcomes.items():
         assert results == reference, (
-            f"{backend} diverged from naive: "
+            f"{name} diverged from the oracle: "
             f"{[(r.position, r.code.code_id, r.correlations_computed) for r in results]} "
             f"vs {[(r.position, r.code.code_id, r.correlations_computed) for r in reference]}"
         )
@@ -195,8 +206,8 @@ class TestBackendEquivalence:
         results = _equivalent_results(
             codes, buffer, message_bits=4, confirm_blocks=2, tau=0.2
         )
-        # Nothing real on the channel; whatever the naive path decides,
-        # the batched paths must decide identically (checked above).
+        # Nothing real on the channel; whatever the oracle decides, the
+        # matmul and FFT paths must decide identically (checked above).
         assert all(r.position >= 0 for r in results)
 
     def test_scan_start_offset_equivalence(self, rng):
@@ -207,11 +218,12 @@ class TestBackendEquivalence:
         channel.add_message(bits, codes[1], offset=6 * 512 + 1000)
         buffer = channel.render(rng=rng)
         scans = {}
-        for backend in CORRELATION_BACKENDS:
+        for name in ENGINE_NAMES:
             sync = SlidingWindowSynchronizer(
-                codes, tau=0.15, message_bits=6, backend=backend
+                codes, tau=0.15, message_bits=6,
+                engine=correlation_engine(name, codes),
             )
-            scans[backend] = sync.scan(buffer, start=2000)
+            scans[name] = sync.scan(buffer, start=2000)
         assert scans["batched"] == scans["naive"]
         assert scans["fft"] == scans["naive"]
         assert scans["naive"] is not None

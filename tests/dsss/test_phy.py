@@ -14,13 +14,16 @@ import pytest
 
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
+from repro.dsss.engine import CorrelationEngine
 from repro.dsss.phy import (
     PHY_BACKENDS,
     ChiplessModel,
     ChiplessPairPHY,
+    ChipPairPHY,
     make_pair_phy,
     message_success_probability,
 )
+from repro.dsss.spread_code import CodePool
 from repro.errors import ConfigurationError
 
 
@@ -59,6 +62,24 @@ class TestFactory:
     def test_chip_backend_needs_pool(self):
         with pytest.raises(ConfigurationError):
             make_pair_phy("chip", _config(), _jamming())
+
+    def test_chip_backend_scans_with_the_engine(self):
+        config = _config()
+        pool = CodePool.generate(4, config.code_length, seed=1)
+        phy = make_pair_phy("chip", config, _jamming(), pool=pool)
+        assert isinstance(phy, ChipPairPHY)
+        sync = phy._synchronizer(2, config.hello_coded_bits)
+        assert isinstance(sync.engine, CorrelationEngine)
+        assert sync.engine.uses_fft  # N = 512 takes the FFT path
+        with pytest.raises(TypeError):
+            ChipPairPHY(
+                pool, _jamming(), correlation_backend="naive",
+                code_length=config.code_length, tau=config.tau,
+                hello_shape=(config.hello_coded_bits,
+                             config.hello_plain_bits),
+                auth_shape=(config.auth_frame_bits,
+                            config.auth_plain_bits),
+            )
 
     def test_chipless_is_chipless(self):
         phy = _chipless(_config(), _jamming())

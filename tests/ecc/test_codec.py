@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.dsss.frame import FrameCodec
 from repro.ecc.codec import ExpansionCodec, erasure_tolerance
+from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.errors import ConfigurationError, DecodeError
 
 
@@ -99,6 +101,16 @@ class TestValidation:
     def test_rejects_non_binary(self):
         with pytest.raises(ConfigurationError):
             ExpansionCodec(1.0).encode(np.array([0, 2], dtype=np.int8))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ReedSolomonCodec(4, backend="naive"),
+        lambda: ExpansionCodec(1.0, backend="naive"),
+        lambda: FrameCodec(1.0, ecc_backend="naive"),
+    ], ids=["reed_solomon", "expansion", "frame"])
+    def test_rejects_backend_argument(self, build):
+        # One Reed-Solomon codec; there is no arithmetic to choose.
+        with pytest.raises(TypeError):
+            build()
 
     def test_parity_symbols_positive(self):
         codec = ExpansionCodec(0.5)

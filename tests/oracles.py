@@ -1,4 +1,4 @@
-"""Reference forms of the snapshot pipeline's hot layers.
+"""Reference forms of the hot layers.
 
 Each function here is the plain-loop statement of one paper stage, kept
 only to check the production implementation against:
@@ -8,24 +8,37 @@ only to check the production implementation against:
 - :func:`shared_code_counts` — Sec. V-B's shared-code counts from a
   dense node-by-code membership matrix;
 - :func:`discover` — Sec. V-C's ``nu``-hop M-NDP closure as per-source
-  networkx shortest-path queries.
+  networkx shortest-path queries;
+- :func:`correlate_many` / :class:`PerPositionCorrelationEngine` —
+  Sec. V-B's sliding-window correlation, one window position at a time;
+- :func:`rs_encode` / :func:`rs_decode` (and their ``_batch`` loops) —
+  the ``(1 + mu)`` Reed-Solomon code, one word at a time through the
+  scalar polynomial-division encoder and the syndrome / Berlekamp-Massey
+  / Chien / Forney decoder.
 
 Every oracle takes the same arguments, consumes the same rng draws and
 returns the same values (and, for :func:`discover`, emits the same
 metrics in the same order) as the production entry point it mirrors.
-:func:`reference_pipeline` swaps all four into a running
-:class:`~repro.experiments.runner.NetworkExperiment`.
+:func:`reference_pipeline` swaps the first four into a running
+:class:`~repro.experiments.runner.NetworkExperiment`;
+:func:`scalar_reed_solomon` swaps the per-word codec into every
+:class:`~repro.ecc.reed_solomon.ReedSolomonCodec`.
 """
 
 from collections import defaultdict
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 
 from repro.core.mndp import MNDPSampler
+from repro.dsss.correlator import code_matrix
+from repro.dsss.engine import CorrelationEngine
+from repro.dsss.spread_code import SpreadCode
+from repro.ecc.reed_solomon import ReedSolomonCodec
+from repro.errors import SpreadCodeError
 from repro.obs import current
 from repro.obs import names as _names
 from repro.predistribution.authority import CodeAssignment, PreDistributor
@@ -155,7 +168,8 @@ def _one_round(sampler, pending: List[Pair], graph) -> Dict[Pair, int]:
 
 @contextmanager
 def reference_pipeline() -> Iterator[None]:
-    """Run every snapshot inside the block on the four oracles above."""
+    """Run every snapshot inside the block on the four snapshot-stage
+    oracles above."""
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(
             RectangularField, "neighbor_pairs", neighbor_pairs
@@ -169,5 +183,131 @@ def reference_pipeline() -> Iterator[None]:
         ))
         stack.enter_context(mock.patch.object(
             MNDPSampler, "discover", discover
+        ))
+        yield
+
+
+def correlate_many(
+    buffer: np.ndarray, codes: Sequence[SpreadCode], position: int
+) -> np.ndarray:
+    """Correlate the window starting at ``position`` against several codes.
+
+    Returns one correlation per code, re-stacking the code matrix on
+    every call.  All codes must share one length, and the window must
+    fit inside ``buffer``.
+    """
+    if not codes:
+        return np.zeros(0, dtype=np.float64)
+    matrix = code_matrix(codes)
+    n = matrix.shape[1]
+    buffer = np.asarray(buffer, dtype=np.float64)
+    if position < 0 or position + n > buffer.size:
+        raise SpreadCodeError(
+            f"window [{position}, {position + n}) out of buffer "
+            f"of {buffer.size} chips"
+        )
+    window = buffer[position : position + n]
+    return matrix @ window / n
+
+
+class PerPositionCorrelationEngine(CorrelationEngine):
+    """One :func:`correlate_many` call per window position.
+
+    A drop-in ``engine=`` for
+    :class:`~repro.dsss.synchronizer.SlidingWindowSynchronizer`.  Its
+    block size is 1, so a scan that locks early evaluates no position
+    past the lock.
+    """
+
+    @property
+    def block_size(self) -> int:
+        return 1
+
+    def correlate_block(
+        self, buffer: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
+        self._check_range(buffer, start, stop)
+        out = np.empty((stop - start, self.n_codes), dtype=np.float64)
+        for i, position in enumerate(range(start, stop)):
+            out[i] = correlate_many(buffer, self.codes, position)
+        return out
+
+
+#: Engine names the correlation tests run under: the per-position
+#: oracle (``naive``), then the production engine forced onto its
+#: block-matmul path (``batched``) and onto its FFT path (``fft``).
+ENGINE_NAMES = ("naive", "batched", "fft")
+
+#: An ``fft_min_length`` beyond any chip length: forces the matmul path.
+MATMUL_ONLY = 1 << 30
+
+
+def correlation_engine(
+    name: str, codes: Sequence[SpreadCode]
+) -> CorrelationEngine:
+    """The engine ``name`` (one of :data:`ENGINE_NAMES`) over ``codes``."""
+    if name == "naive":
+        return PerPositionCorrelationEngine(codes)
+    fft_min_length = {"batched": MATMUL_ONLY, "fft": 1}[name]
+    return CorrelationEngine(codes, fft_min_length=fft_min_length)
+
+
+def rs_encode(codec: ReedSolomonCodec, message: Sequence[int]) -> List[int]:
+    """``message`` plus its parity, by scalar polynomial division."""
+    message = list(message)
+    codec._check_encodable(message)
+    return codec._encode_scalar(message)
+
+
+def rs_encode_batch(
+    codec: ReedSolomonCodec, messages: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """:func:`rs_encode` on each message in turn."""
+    return [rs_encode(codec, message) for message in messages]
+
+
+def rs_decode(
+    codec: ReedSolomonCodec,
+    received: Sequence[int],
+    erasure_positions: Sequence[int] = (),
+) -> List[int]:
+    """The data symbols of one word, by the scalar errors-and-erasures
+    pipeline (raises :class:`~repro.errors.EccDecodeError` past the
+    ``2e + f <= n - k`` budget)."""
+    received = list(received)
+    codec._check_decodable(received, erasure_positions)
+    return codec._decode_scalar(received, erasure_positions)
+
+
+def rs_decode_batch(
+    codec: ReedSolomonCodec,
+    words: Sequence[Sequence[int]],
+    erasure_lists: Optional[Sequence[Sequence[int]]] = None,
+) -> List[List[int]]:
+    """Check every word, then decode each through the scalar pipeline:
+    an invalid word (bad symbol, erasure position or erasure count)
+    raises before any decode failure, else the first unrecoverable
+    word raises."""
+    words = [list(word) for word in words]
+    if erasure_lists is None:
+        erasure_lists = [()] * len(words)
+    for word, erasures in zip(words, erasure_lists):
+        codec._check_decodable(word, erasures)
+    return [
+        codec._decode_scalar(word, erasures)
+        for word, erasures in zip(words, erasure_lists)
+    ]
+
+
+@contextmanager
+def scalar_reed_solomon() -> Iterator[None]:
+    """Encode and decode every Reed-Solomon word inside the block on the
+    per-word oracles above."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            ReedSolomonCodec, "encode", rs_encode
+        ))
+        stack.enter_context(mock.patch.object(
+            ReedSolomonCodec, "decode", rs_decode
         ))
         yield

@@ -1,19 +1,19 @@
-"""Property-based equivalence of the correlation backends.
+"""Property-based equivalence of the correlation engine and its oracle.
 
 Whatever random buffer the channel produces — empty, noise-only,
-carrying messages at arbitrary offsets, or jammed — every backend must
-return exactly the same SyncResult sequence as the naive per-position
-reference, work counter included.
+carrying messages at arbitrary offsets, or jammed — both engine paths
+(block matmul and FFT) must return exactly the same SyncResult sequence
+as the per-position oracle, work counter included.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.dsss.channel import ChipChannel
-from repro.dsss.engine import CORRELATION_BACKENDS
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
 from repro.utils.rng import derive_rng
+from tests.oracles import ENGINE_NAMES, correlation_engine
 
 
 def _scenario(seed, n_codes, code_length, message_bits, offset_positions,
@@ -68,14 +68,14 @@ class TestBackendEquivalenceProps:
         # spurious hits and failed confirmations are frequent — exactly
         # the paths where batched accounting could drift.
         results = {}
-        for backend in CORRELATION_BACKENDS:
+        for name in ENGINE_NAMES:
             sync = SlidingWindowSynchronizer(
                 codes,
                 tau=0.3,
                 message_bits=message_bits,
                 confirm_blocks=2,
-                backend=backend,
+                engine=correlation_engine(name, codes),
             )
-            results[backend] = sync.scan_all(buffer)
+            results[name] = sync.scan_all(buffer)
         assert results["batched"] == results["naive"]
         assert results["fft"] == results["naive"]
