@@ -16,7 +16,7 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class MNDPSampler:
         physical_pairs: Sequence[Pair],
         logical: LogicalGraph,
         rounds: int = 1,
-    ) -> Set[Pair]:
+    ) -> np.ndarray:
         """Run M-NDP over all not-yet-logical physical pairs.
 
         One round checks every remaining pair against the *current*
@@ -138,8 +138,9 @@ class MNDPSampler:
         Theorem 3's "no nodes have performed M-NDP yet" assumption for
         ``rounds=1``).  More rounds model the periodic re-initiation the
         paper describes: links formed by M-NDP enable further pairs.
-        Returns all pairs newly discovered across the rounds, as
-        ``(low, high)`` index tuples; the caller's graph is not changed.
+        Returns all pairs newly discovered across the rounds as a
+        ``(k, 2)`` int64 array of ``(low, high)`` rows in lexicographic
+        order (``(0, 2)`` when none); the caller's graph is not changed.
 
         The logical graph is kept as the sorted undirected edge keys
         ``low * n + high``; each round screens the still-unlinked pairs
@@ -164,7 +165,9 @@ class MNDPSampler:
         relays = np.ones(n, dtype=bool)
         excluded = np.fromiter(self._exclude, dtype=np.int64)
         relays[excluded[(excluded >= 0) & (excluded < n)]] = False
-        discovered: Set[Pair] = set()
+        # Keys of the pairs each round recovers; a recovered pair is
+        # linked from the next round on, so no key repeats.
+        discovered: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         for round_index in range(rounds):
             pend = np.flatnonzero(~_contains(links, pair_keys))
             # Duplicates in physical_pairs resolve only once.
@@ -185,17 +188,16 @@ class MNDPSampler:
                     registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
             if new_idx.size == 0:
                 break
-            discovered.update(
-                zip(a_all[new_idx].tolist(), b_all[new_idx].tolist())
-            )
+            discovered.append(pair_keys[new_idx])
             if round_index == rounds - 1:
                 break
             links = _sorted_unique(
                 np.concatenate([links, pair_keys[new_idx]])
             )
+        keys = np.sort(np.concatenate(discovered))
         if registry.enabled:
-            registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
-        return discovered
+            registry.inc(_names.MNDP_PAIRS_RECOVERED, int(keys.size))
+        return np.stack(np.divmod(keys, n), axis=1)
 
     def _closure_distances(
         self,

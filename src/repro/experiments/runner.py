@@ -332,9 +332,7 @@ class NetworkExperiment:
         positions = uniform_positions(
             field, config.n_nodes, seeds.rng("placement")
         )
-        pairs = np.asarray(
-            field.neighbor_pairs(positions), dtype=np.int64
-        ).reshape(-1, 2)
+        pairs = field.neighbor_pairs(positions)
         mean_degree = (
             2.0 * len(pairs) / config.n_nodes if config.n_nodes else 0.0
         )
@@ -470,11 +468,17 @@ class NetworkExperiment:
         """``(start, safe_count, comp_count)`` per chunk of ``_CHUNK``
         pairs: how many codes each pair shares that the jammer does not
         and does know (:func:`shared_code_counts`) for the ``(k, 2)``
-        pair array."""
-        compromised = compromised_mask(assignment.pool_size, jamming)
+        pair array.  The code array and its held mask are prepared once
+        per snapshot, not once per chunk."""
+        held = compromised_mask(assignment.pool_size, jamming)[
+            assignment.codes
+        ]
+        # Codes lie below the pool size m * ceil(n / l), which stays
+        # below 2**31 unless the n x m code array itself exceeds 32 GB.
+        codes = assignment.codes.astype(np.int32)
         for start in range(0, len(pairs), _CHUNK):
             yield (start, *shared_code_counts(
-                assignment.codes, compromised, pairs[start : start + _CHUNK]
+                codes, held, pairs[start : start + _CHUNK]
             ))
 
     def _sample_dndp_chipless(
@@ -570,17 +574,25 @@ def compromised_mask(pool_size: int, jamming: JammingModel) -> np.ndarray:
 
 
 def shared_code_counts(
-    codes: np.ndarray, compromised: np.ndarray, pairs: np.ndarray
+    codes: np.ndarray, held: np.ndarray, pairs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(safe_count, comp_count)`` for each row of the ``(k, 2)`` pair
     array.
 
-    ``codes`` is a :attr:`CodeAssignment.codes` array: column ``r`` holds
-    round ``r``'s code, and no code appears in two rounds, so a pair
-    shares round ``r``'s code iff its two column-``r`` entries are
-    equal.  Memory is ``O(k * m)``, independent of the pool size.
+    ``codes`` holds the values of :attr:`CodeAssignment.codes` (any
+    integer dtype): column ``r`` holds round ``r``'s code, and no code
+    appears in two rounds, so a pair shares round ``r``'s code iff its
+    two column-``r`` entries are equal.  ``held`` is the matching
+    ``(n, m)`` boolean mask of codes the jammer holds
+    (``compromised_mask(...)[codes]``); only pairs that share some code
+    read it.  Memory is ``O(k * m)``, independent of the pool size.
     """
-    codes_a = codes[pairs[:, 0]]
-    hits = codes_a == codes[pairs[:, 1]]
-    comp_count = (hits & compromised[codes_a]).sum(axis=1)
-    return hits.sum(axis=1) - comp_count, comp_count
+    low = pairs[:, 0]
+    hits = codes[low] == codes[pairs[:, 1]]
+    shared = np.count_nonzero(hits, axis=1)
+    rows = np.flatnonzero(shared)
+    comp_count = np.zeros_like(shared)
+    comp_count[rows] = np.count_nonzero(
+        hits[rows] & held[low[rows]], axis=1
+    )
+    return shared - comp_count, comp_count

@@ -2,8 +2,8 @@
 
 The paper's evaluation places 2000 nodes uniformly in a 5000 x 5000 m
 field with a 300 m transmission range.  :class:`RectangularField` answers
-range queries with strips one range wide, making the physical-neighbor
-graph of a 2000-node snapshot cheap to build.
+range queries over square cells one range wide, so building the
+physical-neighbor graph takes time linear in the node count.
 
 :func:`lens_overlap_fraction` is the geometric constant of Theorem 3:
 two circles of radius ``a`` whose centers are at most ``a`` apart overlap
@@ -105,54 +105,69 @@ class RectangularField:
         as a ``(k, 2)`` int64 array in lexicographic order (``(0, 2)``
         when there are none).
 
-        Nodes are bucketed into vertical strips of width ``tx_range``
-        (any in-range pair sits in the same or adjacent strips) and each
-        strip is swept against itself and its right neighbor with one
-        dense squared-distance screen.  Survivors are confirmed with
-        ``np.hypot``, the correctly-rounded double :meth:`in_range`'s
-        ``math.hypot`` computes, so the boundary decision matches it
-        bit for bit.  Each strip contributes pair keys ``i * n + j``;
-        one sort of the keys gives the lexicographic order.
+        Nodes are bucketed into square cells of side ``tx_range`` (any
+        in-range pair sits in the same or adjacent cells) and sorted by
+        cell key.  Each node is joined with the later nodes of its own
+        cell and with every node of the four half-neighbor cells
+        ``(0, +1), (+1, -1), (+1, 0), (+1, +1)``, so each adjacent cell
+        pair is visited once; a cell's node range comes from one
+        ``searchsorted`` over the sorted cell keys.  Candidates pass a
+        squared-distance screen and are confirmed with ``np.hypot``, the
+        correctly-rounded double :meth:`in_range`'s ``math.hypot``
+        computes, so the boundary decision matches it bit for bit.
+        Survivors become pair keys ``i * n + j``; one sort of the keys
+        gives the lexicographic order.  Time and memory are linear in
+        the node count at fixed density.
         """
         n = len(positions)
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)
         pos = np.asarray(positions, dtype=np.float64)
-        x = pos[:, 0]
-        y = pos[:, 1]
         radius = self._range
         screen = radius * radius * (1.0 + 1e-9)
-        strip_of = np.floor_divide(x, radius).astype(np.int64)
-        order = np.argsort(strip_of, kind="stable")
-        strips, starts = np.unique(strip_of[order], return_index=True)
-        strips = strips.tolist()
-        bounds = starts.tolist() + [n]
-        keys: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        cell_x = np.floor_divide(pos[:, 0], radius).astype(np.int64)
+        cell_y = np.floor_divide(pos[:, 1], radius).astype(np.int64)
+        cell_y -= cell_y.min()
+        # One always-empty row per column: a step off the top or bottom
+        # of a column lands in it, never in a neighboring column's cell.
+        stride = int(cell_y.max()) + 2
+        cell_key = cell_x * stride + cell_y
+        order = np.argsort(cell_key, kind="stable")
+        sorted_key = cell_key[order]
+        x = pos[order, 0]
+        y = pos[order, 1]
+        first = np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1
+        cell_start = np.concatenate([[0], first])
+        cell_size = np.diff(np.concatenate([cell_start, [n]]))
+        cells = sorted_key[cell_start]
+        cell_of = np.repeat(np.arange(cells.size), cell_size)
+        slot = np.arange(n)
+        keys: List[np.ndarray] = []
 
-        def confirm(low: np.ndarray, high: np.ndarray) -> None:
-            exact = np.hypot(x[low] - x[high], y[low] - y[high])
+        def join(starts: np.ndarray, counts: np.ndarray) -> None:
+            # Sorted slot ``slot[owner]`` against each slot of its range.
+            owner = np.repeat(slot, counts)
+            shift = starts - (np.cumsum(counts) - counts)
+            other = np.arange(owner.size) + shift[owner]
+            dx = x[owner] - x[other]
+            dy = y[owner] - y[other]
+            near = dx * dx + dy * dy <= screen
+            owner, other = owner[near], other[near]
+            exact = np.hypot(x[owner] - x[other], y[owner] - y[other])
             keep = exact <= radius
-            keys.append(low[keep] * n + high[keep])
+            low, high = order[owner[keep]], order[other[keep]]
+            keys.append(np.minimum(low, high) * n + np.maximum(low, high))
 
-        for t in range(len(strips)):
-            a_idx = order[bounds[t] : bounds[t + 1]]
-            xa = x[a_idx]
-            ya = y[a_idx]
-            dx = xa[:, None] - xa[None, :]
-            dy = ya[:, None] - ya[None, :]
-            rows, cols = np.nonzero(dx * dx + dy * dy <= screen)
-            low, high = a_idx[rows], a_idx[cols]
-            inside = high > low
-            confirm(low[inside], high[inside])
-            if t + 1 < len(strips) and strips[t + 1] == strips[t] + 1:
-                b_idx = order[bounds[t + 1] : bounds[t + 2]]
-                dx = xa[:, None] - x[b_idx][None, :]
-                dy = ya[:, None] - y[b_idx][None, :]
-                rows, cols = np.nonzero(dx * dx + dy * dy <= screen)
-                left, right = a_idx[rows], b_idx[cols]
-                confirm(
-                    np.minimum(left, right), np.maximum(left, right)
-                )
+        join(slot + 1, (cell_start + cell_size)[cell_of] - slot - 1)
+        for offset in (1, stride - 1, stride, stride + 1):
+            target = cells + offset
+            index = np.searchsorted(cells, target)
+            index[index == cells.size] = 0
+            found = cells[index] == target
+            join(
+                cell_start[index][cell_of],
+                np.where(found, cell_size[index], 0)[cell_of],
+            )
         return np.stack(np.divmod(np.sort(np.concatenate(keys)), n), axis=1)
 
     def adjacency(

@@ -15,6 +15,7 @@ from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, installed
 from repro.obs import names as _names
+from tests.oracles import pair_set
 
 
 def _edges(graph):
@@ -48,7 +49,7 @@ class TestLogicalGraph:
         for a, b in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             graph.add_link(a, b)
         pairs = [(0, j) for j in range(1, 5)]
-        assert MNDPSampler(nu=2).discover(pairs, graph) == {(0, 2)}
+        assert pair_set(MNDPSampler(nu=2).discover(pairs, graph)) == {(0, 2)}
 
     def test_hop_distance(self):
         graph = LogicalGraph(4)
@@ -82,20 +83,22 @@ class TestMNDPSampler:
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2)
         discovered = sampler.discover([(0, 1)], logical)
-        assert discovered == {(0, 1)}
+        assert pair_set(discovered) == {(0, 1)}
 
     def test_respects_hop_budget(self):
         logical = LogicalGraph(4)
         # path 0-2-3-1 has 3 hops
         for a, b in [(0, 2), (2, 3), (3, 1)]:
             logical.add_link(a, b)
-        assert MNDPSampler(nu=2).discover([(0, 1)], logical) == set()
-        assert MNDPSampler(nu=3).discover([(0, 1)], logical) == {(0, 1)}
+        assert pair_set(MNDPSampler(nu=2).discover([(0, 1)], logical)) == set()
+        assert pair_set(MNDPSampler(nu=3).discover([(0, 1)], logical)) == {
+            (0, 1)
+        }
 
     def test_already_logical_pairs_skipped(self):
         logical = LogicalGraph(2)
         logical.add_link(0, 1)
-        assert MNDPSampler(nu=2).discover([(0, 1)], logical) == set()
+        assert pair_set(MNDPSampler(nu=2).discover([(0, 1)], logical)) == set()
 
     def test_single_round_uses_initial_graph(self):
         """rounds=1 matches Theorem 3: new links don't cascade."""
@@ -107,7 +110,7 @@ class TestMNDPSampler:
         # after (0,1) exists.
         pairs = [(0, 1), (0, 3)]
         one_round = MNDPSampler(nu=2).discover(pairs, logical, rounds=1)
-        assert one_round == {(0, 1)}
+        assert pair_set(one_round) == {(0, 1)}
 
     def test_multi_round_cascades(self):
         logical = LogicalGraph(4)
@@ -116,21 +119,34 @@ class TestMNDPSampler:
         logical.add_link(3, 1)
         pairs = [(0, 1), (0, 3)]
         two_rounds = MNDPSampler(nu=2).discover(pairs, logical, rounds=2)
-        assert two_rounds == {(0, 1), (0, 3)}
+        assert pair_set(two_rounds) == {(0, 1), (0, 3)}
 
     def test_excluded_relays(self):
         logical = LogicalGraph(3)
         logical.add_link(0, 2)
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2, exclude=[2])
-        assert sampler.discover([(0, 1)], logical) == set()
+        assert pair_set(sampler.discover([(0, 1)], logical)) == set()
 
     def test_excluded_endpoint(self):
         logical = LogicalGraph(3)
         logical.add_link(0, 2)
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2, exclude=[1])
-        assert sampler.discover([(0, 1)], logical) == set()
+        assert pair_set(sampler.discover([(0, 1)], logical)) == set()
+
+    def test_returns_lexicographic_int64_array(self):
+        # Pairs come back as (low, high) rows in key order, whatever
+        # order and orientation the physical pairs were listed in.
+        logical = LogicalGraph(5)
+        for a, b in [(0, 4), (1, 4), (2, 4), (3, 4)]:
+            logical.add_link(a, b)
+        pairs = [(3, 2), (0, 3), (1, 0), (2, 1), (2, 0)]
+        got = MNDPSampler(nu=2).discover(pairs, logical)
+        assert got.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [2, 3]]
+        assert pair_set(got) == {(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)}
+        empty = MNDPSampler(nu=2).discover([], logical)
+        assert empty.dtype == np.int64 and empty.shape == (0, 2)
 
     def test_rejects_bad_nu(self):
         with pytest.raises(ConfigurationError):

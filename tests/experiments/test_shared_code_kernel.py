@@ -126,10 +126,12 @@ class TestPairExactCounts:
         config, assignment, compromise, pairs = case
         jamming = _jamming(config, compromise, strategy)
         experiment = NetworkExperiment(config, seed=0, strategy=strategy)
-        compromised = compromised_mask(assignment.pool_size, jamming)
+        held = compromised_mask(assignment.pool_size, jamming)[
+            assignment.codes
+        ]
         want = [
             (start, *oracles.shared_code_counts(
-                assignment.codes, compromised, pairs[start : start + CHUNK]
+                assignment.codes, held, pairs[start : start + CHUNK]
             ))
             for start in range(0, len(pairs), CHUNK)
         ]
@@ -154,8 +156,12 @@ class TestPairExactCounts:
         np.testing.assert_array_equal(
             compromised_mask(assignment.pool_size, jamming), compromised
         )
+        # The runner's prepared arrays: an int32 copy of the code array
+        # and the node x round mask of codes the jammer holds.
         safe, comp = shared_code_counts(
-            assignment.codes, compromised, pairs[:500]
+            assignment.codes.astype(np.int32),
+            compromised[assignment.codes],
+            pairs[:500],
         )
         want_safe, want_comp = _oracle_counts(
             assignment, compromised, pairs[:500]

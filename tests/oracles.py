@@ -3,7 +3,9 @@
 Each function here is the plain-loop statement of one paper stage, kept
 only to check the production implementation against:
 
-- :func:`neighbor_pairs` — grid-bucketed range search (field layer);
+- :func:`neighbor_pairs` — grid-bucketed range search (field layer),
+  and :func:`pair_set`, which checks a production pair array and turns
+  it into the set of tuples the oracles reason in;
 - :func:`assign` — Sec. V-A's per-subset partition loops;
 - :func:`shared_code_counts` — Sec. V-B's shared-code counts from a
   dense node-by-code membership matrix;
@@ -18,7 +20,9 @@ only to check the production implementation against:
 
 Every oracle takes the same arguments, consumes the same rng draws and
 returns the same values (and, for :func:`discover`, emits the same
-metrics in the same order) as the production entry point it mirrors.
+metrics in the same order) as the production entry point it mirrors;
+:func:`discover` returns its pairs as a set, which equals
+:func:`pair_set` of the production array.
 :func:`reference_pipeline` swaps the first four into a running
 :class:`~repro.experiments.runner.NetworkExperiment`;
 :func:`scalar_reed_solomon` swaps the per-word codec into every
@@ -48,9 +52,10 @@ from repro.utils.validation import check_positive
 Pair = Tuple[int, int]
 
 
-def neighbor_pairs(field, positions) -> List[Pair]:
+def neighbor_pairs(field, positions) -> np.ndarray:
     """Grid-bucketed search: cells one range wide, each node checked
-    against the 3 x 3 block of cells around its own."""
+    against the 3 x 3 block of cells around its own; the pairs come
+    back as the production ``(k, 2)`` int64 array."""
     cell = field.tx_range
     buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
     for index, position in enumerate(positions):
@@ -66,7 +71,21 @@ def neighbor_pairs(field, positions) -> List[Pair]:
             for j in candidates:
                 if j > i and field.in_range(positions[i], positions[j]):
                     pairs.append((i, j))
-    return sorted(set(pairs))
+    return np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+
+
+def pair_set(pairs: np.ndarray) -> Set[Pair]:
+    """The rows of a production pair array as the oracles' set of
+    ``(low, high)`` tuples, after checking the array contract: ``(k, 2)``
+    int64, ``low < high`` in every row, rows strictly increasing in
+    lexicographic order (so no duplicates)."""
+    assert isinstance(pairs, np.ndarray)
+    assert pairs.dtype == np.int64
+    assert pairs.ndim == 2 and pairs.shape[1] == 2
+    assert bool((pairs[:, 0] < pairs[:, 1]).all())
+    rows = [tuple(row) for row in pairs.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    return set(rows)
 
 
 def assign(distributor, rng: np.random.Generator) -> CodeAssignment:
@@ -90,12 +109,16 @@ def assign(distributor, rng: np.random.Generator) -> CodeAssignment:
 
 
 def shared_code_counts(
-    codes: np.ndarray, compromised: np.ndarray, pairs: np.ndarray
+    codes: np.ndarray, held: np.ndarray, pairs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(safe_count, comp_count)`` per pair from the AND of the two
-    endpoints' rows of the dense node-by-code membership matrix."""
-    membership = np.zeros((codes.shape[0], compromised.size), dtype=bool)
+    endpoints' rows of the dense node-by-code membership matrix; a code
+    is compromised iff some node holds it under ``held``."""
+    width = int(codes.max()) + 1
+    membership = np.zeros((codes.shape[0], width), dtype=bool)
     membership[np.arange(codes.shape[0])[:, None], codes] = True
+    compromised = np.zeros(width, dtype=bool)
+    compromised[codes[held]] = True
     shared = membership[pairs[:, 0]] & membership[pairs[:, 1]]
     return (
         (shared & ~compromised).sum(axis=1),

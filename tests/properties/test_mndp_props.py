@@ -4,6 +4,7 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mndp import LogicalGraph, MNDPSampler
+from tests.oracles import pair_set
 
 
 @st.composite
@@ -45,7 +46,9 @@ class TestClosureProperties:
         for a, b in edges:
             logical.add_link(a, b)
             reference.add_edge(a, b)
-        discovered = MNDPSampler(nu).discover(pairs, logical, rounds=1)
+        discovered = pair_set(
+            MNDPSampler(nu).discover(pairs, logical, rounds=1)
+        )
         linked = {
             tuple(sorted(edge)) for edge in logical.edge_array().tolist()
         }
@@ -68,8 +71,10 @@ class TestClosureProperties:
         logical = LogicalGraph(n)
         for a, b in edges:
             logical.add_link(a, b)
-        smaller = MNDPSampler(nu).discover(pairs, logical, rounds=1)
-        larger = MNDPSampler(nu + 1).discover(pairs, logical, rounds=1)
+        smaller = pair_set(MNDPSampler(nu).discover(pairs, logical, rounds=1))
+        larger = pair_set(
+            MNDPSampler(nu + 1).discover(pairs, logical, rounds=1)
+        )
         assert smaller <= larger
 
     @given(random_graph_case())
@@ -79,6 +84,6 @@ class TestClosureProperties:
         logical = LogicalGraph(n)
         for a, b in edges:
             logical.add_link(a, b)
-        one = MNDPSampler(nu).discover(pairs, logical, rounds=1)
-        three = MNDPSampler(nu).discover(pairs, logical, rounds=3)
+        one = pair_set(MNDPSampler(nu).discover(pairs, logical, rounds=1))
+        three = pair_set(MNDPSampler(nu).discover(pairs, logical, rounds=3))
         assert one <= three
