@@ -6,7 +6,7 @@ pool spin-up (fork, experiment rebuild, cold artifact caches in every
 worker, teardown) dominates wall clock.  The persistent
 :class:`~repro.experiments.pool.WorkerPool` pays those costs once per
 campaign instead of once per shard, and overlaps each shard's SQLite
-commit with the next shard's execution.
+commit with the compute of a window of later shards.
 
 The baseline is a short local loop doing what a campaign without a
 persistent pool would: one ``run_parallel`` call (a fresh pool) per
@@ -238,20 +238,20 @@ def test_persistent_pool_shard_throughput(
     )
 
 
-#: Supervision may cost at most this much wall clock.  The only
-#: supervision machinery on the fault-free hot path is the soft-timeout
-#: sweep (a deadline-polled wait instead of a blocking one); with
-#: ``run_timeout=None`` the dispatcher blocks exactly as an
-#: unsupervised pool would.  The throughput floor above separately
-#: guards the absolute engine speed against the recorded trajectory.
+#: Ceiling on the dispatcher's wake-ups per dispatched chunk with a
+#: soft timeout armed (``run_timeout=60.0``, never reached) over the
+#: same count with blocking waits (``run_timeout=None``).  The only
+#: supervision machinery on the fault-free hot path is that
+#: deadline-bounded wait; if it ever woke the dispatcher early (a
+#: poll), the count would show it directly.  The wall-clock ratio of
+#: the same campaigns is recorded beside it but not gated: it spreads
+#: by about +-0.15 per pair on a 2-vCPU host around a true ratio near
+#: 1.0, which no ceiling near 1.0 can read.
 OVERHEAD_CEILING = 1.05
 SMOKE_OVERHEAD_CEILING = 1.25
 
 #: Interleaved blocking/polling campaign pairs per measurement; the
-#: gate reads the median of their per-pair ratios, so one campaign
-#: slowed by the host cannot decide it.  One pair's ratio spreads by
-#: about +-0.1 on a 2-vCPU host around a true ratio near 1.0, which a
-#: single sample turned into intermittent failures.
+#: gate reads the ratio of the wake-up counts summed over all pairs.
 OVERHEAD_SAMPLES = 15
 SMOKE_OVERHEAD_SAMPLES = 7
 
@@ -283,11 +283,10 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
                 order.reverse()
             sample = {}
             for name in order:
-                elapsed, status, _ = _time_campaign(
+                sample[name] = _time_campaign(
                     spec, str(tmp_path / f"{name}-{index}.sqlite"),
                     supervision=policies[name],
                 )
-                sample[name] = (elapsed, status)
             samples.append(sample)
         return samples
 
@@ -295,37 +294,51 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
 
     digests = set()
     for sample in samples:
-        for _, status in sample.values():
+        for _, status, _ in sample.values():
             assert status.complete
             digests.add(status.canonical_digest)
     assert len(digests) == 1
+
+    def wakeups_per_chunk(name):
+        counters = [sample[name][2] for sample in samples]
+        wakeups = sum(c[_names.POOL_DISPATCHER_WAKEUPS] for c in counters)
+        chunks = sum(c[_names.POOL_TASKS_DISPATCHED] for c in counters)
+        return wakeups / chunks
+
+    base_wakeups = wakeups_per_chunk("blocking")
+    timed_wakeups = wakeups_per_chunk("polling")
+    overhead = timed_wakeups / base_wakeups
     base_times = [sample["blocking"][0] for sample in samples]
     timed_times = [sample["polling"][0] for sample in samples]
     ratios = sorted(
         timed / base for base, timed in zip(base_times, timed_times)
     )
-    overhead = statistics.median(ratios)
+    wall_ratio = statistics.median(ratios)
     base_t = statistics.median(base_times)
     timed_t = statistics.median(timed_times)
     print()
     print(format_series_table(
         [{
+            "blocking_wakeups_per_chunk": base_wakeups,
+            "polling_wakeups_per_chunk": timed_wakeups,
+            "overhead": overhead,
             "blocking_s": base_t,
             "polling_s": timed_t,
-            "overhead": overhead,
-            "ratio_min": ratios[0],
-            "ratio_max": ratios[-1],
+            "wall_ratio": wall_ratio,
         }],
-        title="Supervision overhead: blocking vs timeout-polled waits "
-              f"(median of {n_samples} interleaved pairs)",
+        title="Supervision overhead: dispatcher wake-ups per chunk, "
+              f"blocking vs timeout-polled waits ({n_samples} "
+              f"interleaved pairs)",
     ))
     supervision_record = {
         "samples": n_samples,
+        "blocking_wakeups_per_chunk": round(base_wakeups, 4),
+        "timeout_polled_wakeups_per_chunk": round(timed_wakeups, 4),
+        "overhead_ratio": round(overhead, 3),
         "blocking_seconds": round(base_t, 4),
         "timeout_polled_seconds": round(timed_t, 4),
-        "overhead_ratio": round(overhead, 3),
-        "overhead_ratios": [round(ratio, 3) for ratio in ratios],
-        "overhead_ratio_spread": round(ratios[-1] - ratios[0], 3),
+        "wall_ratio": round(wall_ratio, 3),
+        "wall_ratios": [round(ratio, 3) for ratio in ratios],
         "ceiling": ceiling,
         "smoke": _smoke(),
     }
@@ -341,7 +354,8 @@ def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
         BENCH_JSON, json.dumps(artifact, indent=2, sort_keys=True)
     )
     assert overhead <= ceiling, (
-        f"supervision (timeout-polled waits) cost a median {overhead:.3f}x "
-        f"the blocking baseline over {n_samples} pairs "
-        f"(ceiling {ceiling}x; ratios {supervision_record['overhead_ratios']})"
+        f"timeout-polled waits woke the dispatcher {timed_wakeups:.3f} "
+        f"times per chunk against {base_wakeups:.3f} for blocking "
+        f"waits over {n_samples} pairs ({overhead:.3f}x, ceiling "
+        f"{ceiling}x)"
     )

@@ -19,14 +19,17 @@ The whole grid executes on one pool that lives for the invocation:
 multiprocess when more than one CPU is available (workers and their
 cached experiments survive across shards), inline (``processes=0``)
 otherwise, which keeps experiments warm across shards in this process.
-The loop pipelines one shard deep: shard N+1 is submitted *before*
-shard N's SQLite commit runs on the main thread, so on a multiprocess
-pool commit latency overlaps compute instead of serializing with it.
-Because a shard's results are a pure function of ``(spec, shard)``,
-the store bytes do not depend on the pool.
+The loop keeps a bounded window of submitted shards — twice the worker
+count, one shard on the inline pool — and waits for and commits them
+in shard order.  The window is topped up *before* each SQLite commit
+runs on the main thread, and the pool streams chunks of consecutive
+shards without a barrier, so on a multiprocess pool neither commits
+nor shard boundaries leave a worker idle.  Because a shard's results
+are a pure function of ``(spec, shard)``, the store bytes do not
+depend on the pool or the window.
 
-A SIGKILL anywhere in steps 3-4 loses at most the in-flight shards'
-work (the committing one, plus the pipelined next one); the next
+A SIGKILL anywhere in steps 3-4 loses at most the window's uncommitted
+shards (the committing one plus those still in flight); the next
 ``resume`` re-executes exactly those shards and the final store is
 bit-identical to an uninterrupted run's.
 
@@ -44,10 +47,11 @@ Self-healing (the supervision layer):
 - Supervision itself giving up (respawn budget exhausted, spawn
   failure) triggers **graceful degradation** instead of an exception:
   the multiprocess pool is replaced by an inline one (``'pool'`` →
-  ``'serial'``) and the shard re-runs, announced loudly on the
-  progress sink and recorded as an infrastructure event.  Because both
-  pools produce bit-identical results, degradation changes throughput,
-  never bytes.  An error from the inline pool propagates.
+  ``'serial'``) and the whole window re-runs on it, announced loudly
+  on the progress sink and recorded as an infrastructure event.
+  Because both pools produce bit-identical results, degradation
+  changes throughput, never bytes.  An error from the inline pool
+  propagates.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.campaigns.spec import CampaignSpec, Shard
 from repro.campaigns.store import (
@@ -297,6 +302,12 @@ def run_campaign(
             except (WorkerPoolError, OSError) as error:
                 pool = _degrade(None, pending[0].index, error)
 
+        # A bounded window of submitted shards keeps every worker fed
+        # across shard boundaries and SQLite commits; shards are still
+        # waited for and committed in shard order.
+        window: Deque[Tuple[Shard, PendingRun]] = deque()
+        cursor = 0  # pending[cursor] is the next shard to submit
+
         def _submit(shard: Shard) -> PendingRun:
             assert pool is not None
             return pool.submit(
@@ -305,77 +316,86 @@ def run_campaign(
                 chunksize=spec.pool_chunksize,
             )
 
+        def _fill() -> None:
+            """Top the window up to twice the worker count (one shard
+            on the inline pool, whose jobs run lazily in ``wait``)."""
+            nonlocal cursor
+            while cursor < len(pending):
+                assert pool is not None
+                if len(window) >= max(1, 2 * pool.processes):
+                    return
+                try:
+                    handle = _submit(pending[cursor])
+                except WorkerPoolError:
+                    if not window:
+                        raise
+                    return  # the window's head surfaces the break
+                window.append((pending[cursor], handle))
+                cursor += 1
+
         try:
-            handle: Optional[PendingRun] = None
             elapsed_total = 0.0
-            for position, shard in enumerate(pending):
-                point = shard.point
-                started = time.perf_counter()
-                result = None
-                quarantined_here = False
-                while result is None and not quarantined_here:
-                    try:
-                        outcomes = (handle or _submit(shard)).wait()
-                        handle = None
-                        # Pipeline one shard deep: hand the pool the
-                        # next shard *before* this one's commit, so the
-                        # SQLite transaction below overlaps worker
-                        # compute.
-                        if position + 1 < len(pending):
-                            try:
-                                handle = _submit(pending[position + 1])
-                            except WorkerPoolError:
-                                # Degrade when we reach it; this
-                                # shard's outcomes are intact.
-                                handle = None
-                        result = collect_outcomes(outcomes, shard.n_runs)
-                    except (WorkerPoolError, OSError) as error:
-                        # Infrastructure failure: supervision itself
-                        # gave up.  Swap in the inline pool and re-run
-                        # this shard (identical bits on either pool).
-                        assert pool is not None
-                        if pool.processes == 0:
-                            raise
-                        registry.inc(_names.CAMPAIGNS_SHARDS_RETRIED)
-                        handle = None
-                        pool = _degrade(pool, shard.index, error)
-                    except ParallelExecutionError as error:
-                        quarantined = [
-                            (index, tb)
-                            for index, tb in error.failures
-                            if is_quarantined_failure(tb)
-                        ]
-                        if len(quarantined) != len(error.failures):
-                            # Genuine run failures (bad config, bug in
-                            # a component) are not supervision's
-                            # domain: surface them unchanged.
-                            raise
-                        for run_index, tb in quarantined:
-                            store.record_failure(
-                                spec.name, spec_hash, revision,
-                                shard.index, run_index,
-                                QUARANTINE_KIND,
-                                policy.max_run_retries + 1, tb,
-                            )
-                        registry.inc(
-                            _names.CAMPAIGNS_SHARDS_QUARANTINED
-                        )
-                        registry.inc(
-                            _names.CAMPAIGNS_RUNS_QUARANTINED,
-                            len(quarantined),
-                        )
-                        emit(
-                            f"!! shard {shard.index + 1}/"
-                            f"{len(shards)}: {len(quarantined)} "
-                            f"run(s) quarantined (worker killed or "
-                            f"hung on every attempt); shard left "
-                            f"uncommitted — resume with "
-                            f"--retry-quarantined to re-execute"
-                        )
-                        quarantined_here = True
-                if quarantined_here:
+            _fill()
+            mark = time.perf_counter()
+            while window:
+                shard, handle = window[0]
+                try:
+                    outcomes = handle.wait()
+                except (WorkerPoolError, OSError) as error:
+                    # Infrastructure failure: supervision itself gave
+                    # up.  Swap in the inline pool and re-submit the
+                    # whole window to it (identical bits on either
+                    # pool).
+                    assert pool is not None
+                    if pool.processes == 0:
+                        raise
+                    registry.inc(
+                        _names.CAMPAIGNS_SHARDS_RETRIED, len(window)
+                    )
+                    pool = _degrade(pool, shard.index, error)
+                    resubmitted = [
+                        (queued, _submit(queued)) for queued, _ in window
+                    ]
+                    window.clear()
+                    window.extend(resubmitted)
                     continue
-                assert result is not None
+                window.popleft()
+                # Refill before this shard's commit, so the SQLite
+                # transaction below overlaps worker compute.
+                _fill()
+                try:
+                    result = collect_outcomes(outcomes, shard.n_runs)
+                except ParallelExecutionError as error:
+                    quarantined = [
+                        (index, tb)
+                        for index, tb in error.failures
+                        if is_quarantined_failure(tb)
+                    ]
+                    if len(quarantined) != len(error.failures):
+                        # Genuine run failures (bad config, bug in a
+                        # component) are not supervision's domain:
+                        # surface them unchanged.
+                        raise
+                    for run_index, tb in quarantined:
+                        store.record_failure(
+                            spec.name, spec_hash, revision,
+                            shard.index, run_index, QUARANTINE_KIND,
+                            policy.max_run_retries + 1, tb,
+                        )
+                    registry.inc(_names.CAMPAIGNS_SHARDS_QUARANTINED)
+                    registry.inc(
+                        _names.CAMPAIGNS_RUNS_QUARANTINED,
+                        len(quarantined),
+                    )
+                    emit(
+                        f"!! shard {shard.index + 1}/{len(shards)}: "
+                        f"{len(quarantined)} run(s) quarantined "
+                        f"(worker killed or hung on every attempt); "
+                        f"shard left uncommitted — resume with "
+                        f"--retry-quarantined to re-execute"
+                    )
+                    mark = time.perf_counter()
+                    continue
                 metrics = (
                     result.merged_metrics()
                     if spec.collect_metrics else None
@@ -383,7 +403,8 @@ def run_campaign(
                 store.write_shard(
                     spec, revision, shard, result.runs, metrics
                 )
-                elapsed = time.perf_counter() - started
+                now = time.perf_counter()
+                elapsed, mark = now - mark, now
                 elapsed_total += elapsed
                 registry.record_seconds(
                     _names.CAMPAIGNS_SHARD_SECONDS, elapsed
@@ -401,7 +422,7 @@ def run_campaign(
                 )
                 emit(
                     f"shard {shard.index + 1}/{len(shards)} committed "
-                    f"(point {point.index}, runs "
+                    f"(point {shard.point.index}, runs "
                     f"{shard.run_start}..{shard.run_stop - 1}) "
                     f"[{rate:.1f} runs/s, ETA {eta:.1f}s]"
                 )
@@ -415,6 +436,10 @@ def run_campaign(
                     )
                     _self_sigkill()
         finally:
+            # Withdraw what never started, so close() does not wait
+            # for a window of shards nobody will commit.
+            for _, handle in window:
+                handle.cancel()
             if pool is not None:
                 pool.close()
         done = store.completed_shards(spec.name, spec_hash, revision)

@@ -18,14 +18,18 @@ them and traps run failures the same way.
   (:meth:`ExperimentSpec.content_key`) — per worker process, or in the
   caller for the inline pool — so consecutive shards of the same sweep
   point, and revisits of a point anywhere in the grid, skip the
-  rebuild entirely.  New points are announced to workers with one
-  cheap ``configure`` broadcast carrying the spec; the per-process
-  artifact cache (codecs, correlation matrices, waveforms) stays warm
-  for the pool's whole lifetime.
+  rebuild entirely.  A new point reaches each worker as one cheap
+  ``configure`` message carrying the spec, sent ahead of that
+  worker's first chunk of it; the per-process artifact cache (codecs,
+  correlation matrices, waveforms) stays warm for the pool's whole
+  lifetime.
 - **Submission is asynchronous.**  :meth:`WorkerPool.submit` returns a
-  :class:`PendingRun` immediately while a dispatcher thread feeds the
-  workers demand-driven chunks; the campaign executor uses this to
-  overlap shard N's SQLite commit with shard N+1's execution.
+  :class:`PendingRun` immediately.  A dispatcher thread keeps the
+  chunks of every submitted job in one FIFO and hands the oldest to
+  whichever worker goes idle, so consecutive jobs stream through the
+  workers without a barrier between them; the campaign executor keeps
+  a window of shards submitted so its SQLite commits overlap worker
+  compute.
 
 **Supervision.**  An overnight campaign is only as reliable as its
 least reliable process, so the dispatcher does not treat a worker
@@ -42,8 +46,9 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
 - an optional per-chunk soft timeout (``run_timeout``) classifies a
   **hung** worker, which is killed, counted, and respawned like a
   crash;
-- only *infrastructure* failures — the per-job respawn budget
-  exhausted, a spawn failure, the pool closed mid-job — raise
+- only *infrastructure* failures — the respawn budget of one job
+  exhausted (each death is charged to the job owning the chunk the
+  worker held), a spawn failure, the pool closed mid-job — raise
   :class:`~repro.errors.WorkerPoolError` and break the pool.
 
 The inline pool has no workers to supervise: a run failure is trapped
@@ -66,8 +71,8 @@ respawns in between.
 
 Pool activity is observable through the ``pool.*`` counters in
 :mod:`repro.obs.names`: workers spawned/respawned/timed-out/
-force-killed, configure broadcasts, warm cache hits/misses, tasks
-dispatched, runs retried, and runs quarantined.
+force-killed, configure messages, warm cache hits/misses, tasks
+dispatched, dispatcher wake-ups, runs retried, and runs quarantined.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ import functools
 import hashlib
 import multiprocessing
 import os
-import queue
 import threading
 import time
 import traceback
@@ -189,8 +193,11 @@ class SupervisionPolicy:
         (i.e. on its ``max_run_retries + 1``-th try) is quarantined as
         a tagged failure outcome.
     max_respawns:
-        Per-job respawn budget.  More worker deaths than this within a
-        single job is an infrastructure failure: the pool breaks with
+        Per-job respawn budget.  Every worker death is charged to the
+        job that owned the chunk the worker held (or was being handed
+        when its pipe turned out dead), however many jobs are in
+        flight; more deaths than this charged to one job is an
+        infrastructure failure: the pool breaks with
         ``WorkerPoolError`` (the campaign executor then degrades to a
         simpler engine).
     backoff_base / backoff_factor / backoff_max:
@@ -425,13 +432,13 @@ class PendingRun:
     def cancel(self) -> None:
         """Withdraw the job: the dispatcher skips it if not yet started.
 
-        A job already executing runs to completion (its results are
-        simply discarded with this handle); a queued job — or an
-        inline job not yet waited on — is resolved with
-        ``WorkerPoolError`` instead of occupying the pool.  This
-        is what :meth:`wait` does on timeout, closing the old
-        outstanding-slot leak where a timed-out job stayed registered
-        with the dispatcher and could race the caller's next job.
+        A job counts as started once its first chunk is dispatched to
+        a worker.  A started job runs to completion (its results are
+        simply discarded with this handle); a cancelled job that has
+        not started — or an inline job not yet waited on — is resolved
+        with ``WorkerPoolError`` and never dispatched.  This is what
+        :meth:`wait` does on timeout, so a timed-out job can neither
+        occupy a worker nor race the caller's next job.
         """
         self._cancelled = True
 
@@ -444,9 +451,9 @@ class PendingRun:
 
         On timeout the job is cancelled (see :meth:`cancel`) before
         ``WorkerPoolError`` is raised, so it cannot fire late into a
-        dispatcher slot the caller has mentally reclaimed.  An inline
-        job runs here, in the caller's thread, so it never times out;
-        whatever it raises propagates, and waiting again re-runs it.
+        worker the caller has mentally reclaimed.  An inline job runs
+        here, in the caller's thread, so it never times out; whatever
+        it raises propagates, and waiting again re-runs it.
         """
         if self._job is not None and not self._event.is_set():
             if self._cancelled:
@@ -457,7 +464,7 @@ class PendingRun:
             self.cancel()
             raise WorkerPoolError(
                 f"pool job did not finish within {timeout} s; the job "
-                f"was cancelled (skipped unless already running)"
+                f"was cancelled (skipped unless already started)"
             )
         if self._error is not None:
             raise self._error
@@ -475,10 +482,28 @@ class PendingRun:
 
 @dataclass
 class _Job:
+    """One submitted job as the dispatcher tracks it.
+
+    ``chunks`` counts the job's chunks that are queued or in flight;
+    the handle resolves when it reaches zero.  ``respawns`` is the
+    worker deaths charged to this job (see
+    :attr:`SupervisionPolicy.max_respawns`).
+    """
+
     spec: ExperimentSpec
+    key: str
     indices: List[int]
     chunksize: Optional[int]
     handle: PendingRun
+    attempts: Dict[int, int] = field(default_factory=dict)
+    outcomes: List[_Outcome] = field(default_factory=list)
+    chunks: int = 0
+    respawns: int = 0
+    started: bool = False
+
+
+#: One dispatch unit: the owning job and the run indices it carries.
+_Chunk = Tuple[_Job, List[int]]
 
 
 @dataclass
@@ -501,13 +526,18 @@ class WorkerPool:
             for shard in shards:
                 result = run_parallel(..., pool=pool)
 
-    Jobs execute one at a time in submission order on a dispatcher
-    thread that hands idle workers demand-driven index chunks, so a
-    slow worker never stalls the fast ones.  Worker deaths and hangs
-    are absorbed by the :class:`SupervisionPolicy` (respawn + retry +
-    quarantine); the pool only becomes *broken* — refusing further
-    submissions — on an infrastructure failure such as an exhausted
-    respawn budget.  Per-run failures never break it.
+    A dispatcher thread splits every submitted job into index chunks
+    and keeps them in one FIFO: an idle worker takes the oldest
+    pending chunk, whichever job it belongs to, and a job's
+    :class:`PendingRun` resolves when its last chunk returns.  So a
+    slow worker never stalls the fast ones, and the tail of one job
+    overlaps the head of the next instead of idling a worker at a
+    per-job barrier.  Worker deaths and hangs are absorbed by the
+    :class:`SupervisionPolicy` (respawn + retry + quarantine, charged
+    to the job that owned the failed chunk); the pool only becomes
+    *broken* — refusing further submissions — on an infrastructure
+    failure such as an exhausted respawn budget.  Per-run failures
+    never break it.
 
     ``processes=0`` makes an *inline* pool: no processes, no
     dispatcher thread; each job runs in the caller's thread when its
@@ -549,18 +579,35 @@ class WorkerPool:
             execution_faults = None  # inert plan == no plan (bit-identical)
         self._faults = execution_faults
         self._context = multiprocessing.get_context()
+        # Submissions and close() wake the dispatcher through this pipe,
+        # so it can block on worker replies and new work at once.
+        self._wake_recv: Any = None
+        self._wake_send: Any = None
+        if processes:
+            self._wake_recv, self._wake_send = self._context.Pipe(
+                duplex=False
+            )
         self._workers: List[_Worker] = []
         for slot in range(int(processes)):
             self._workers.append(self._spawn_worker(slot))
-        self._specs: Dict[str, ExperimentSpec] = {}
+        self._known_keys: Set[str] = set()
         self._experiments: "OrderedDict[str, NetworkExperiment]" = (
             OrderedDict()
         )
-        self._job_respawns = 0
-        self._jobs: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
         self._broken = False
+        # Submitted jobs the dispatcher has not admitted yet, and
+        # whether a wake-up is already on its way (both under _lock).
+        self._inbox: Deque[_Job] = deque()
+        self._wake_pending = False
+        # Dispatcher-owned state: the cross-job chunk FIFO, the chunk
+        # each busy worker slot holds (with its dispatch time), and
+        # every admitted, unresolved job in admission order.
+        self._pending: Deque[_Chunk] = deque()
+        self._in_flight: Dict[int, Tuple[_Job, List[int], float]] = {}
+        self._live: Dict[int, _Job] = {}
+        self._consecutive_deaths = 0
         self._dispatcher: Optional[threading.Thread] = None
         if self._workers:
             self._dispatcher = threading.Thread(
@@ -597,8 +644,8 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the dispatcher and workers; idempotent.
 
-        An in-flight job is given ``close_grace`` seconds to finish;
-        after that shutdown escalates per worker — join, then
+        Jobs already submitted are given ``close_grace`` seconds to
+        finish; after that shutdown escalates per worker — join, then
         ``terminate()``, then ``kill()`` — so a wedged or
         SIGTERM-ignoring worker can not leak past close.  Workers that
         needed ``kill()`` are surfaced on the
@@ -608,11 +655,11 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+            self._wake()
         self._experiments.clear()
         if self._dispatcher is None:
             return
         grace = self._policy.close_grace
-        self._jobs.put(None)
         self._dispatcher.join(timeout=grace)
         for worker in self._workers:
             try:
@@ -631,9 +678,11 @@ class WorkerPool:
             # The workers are gone now, so a dispatcher that was stuck
             # waiting on one unwinds via EOF and exits promptly.
             self._dispatcher.join(timeout=grace)
-        for worker in self._workers:
+        for conn in [worker.conn for worker in self._workers] + [
+            self._wake_recv, self._wake_send,
+        ]:
             try:
-                worker.conn.close()
+                conn.close()
             except OSError:
                 pass
 
@@ -668,9 +717,9 @@ class WorkerPool:
     ) -> PendingRun:
         """Queue ``run_indices`` of ``spec``; returns immediately.
 
-        The caller may submit the next job before waiting on this one —
-        the campaign executor relies on that to commit shard N while
-        the workers are already draining shard N+1.
+        The caller may keep several jobs submitted before waiting on
+        the first — the campaign executor keeps a window of shards in
+        flight so its SQLite commits overlap worker compute.
         """
         indices = [int(index) for index in run_indices]
         if not indices:
@@ -690,19 +739,22 @@ class WorkerPool:
                 raise ConfigurationError(
                     "worker pool is closed; create a new pool"
                 )
+            key = self._register(spec)
             if self._dispatcher is None:
                 return PendingRun(
-                    functools.partial(self._run_inline, spec, indices)
+                    functools.partial(self._run_inline, spec, key, indices)
                 )
             handle = PendingRun()
-            self._jobs.put(
+            self._inbox.append(
                 _Job(
                     spec=spec,
+                    key=key,
                     indices=indices,
                     chunksize=chunksize,
                     handle=handle,
                 )
             )
+            self._wake()
         return handle
 
     def run(
@@ -717,31 +769,36 @@ class WorkerPool:
     def _register(self, spec: ExperimentSpec) -> str:
         """Count a warm hit or miss for ``spec``; return its key."""
         key = spec.content_key()
-        if key in self._specs:
+        if key in self._known_keys:
             current().inc(_names.POOL_WARM_HITS)
         else:
-            self._specs[key] = spec
+            self._known_keys.add(key)
             current().inc(_names.POOL_WARM_MISSES)
         return key
 
     def _run_inline(
-        self, spec: ExperimentSpec, indices: List[int]
+        self, spec: ExperimentSpec, key: str, indices: List[int]
     ) -> List[_Outcome]:
         """An inline job: the whole index list as one chunk, here."""
         return run_chunk(
-            self._experiments, self._cache_size, self._register(spec),
-            spec, [(index, 0) for index in indices],
+            self._experiments, self._cache_size, key, spec,
+            [(index, 0) for index in indices],
         )
+
+    def _wake(self) -> None:
+        """Wake the dispatcher (caller holds ``_lock``); at most one
+        wake-up message is ever waiting in the pipe."""
+        if self._wake_send is not None and not self._wake_pending:
+            self._wake_pending = True
+            self._wake_send.send_bytes(b"")
 
     # -- worker management ---------------------------------------------
 
     def _spawn_worker(self, slot: int) -> _Worker:
         """Start one worker process wired for orphan-free shutdown."""
         parent_end, child_end = self._context.Pipe(duplex=True)
-        close_conns = [
-            worker.conn for worker in getattr(self, "_workers", [])
-        ]
-        close_conns.append(parent_end)
+        close_conns = [worker.conn for worker in self._workers]
+        close_conns += [parent_end, self._wake_recv, self._wake_send]
         process = self._context.Process(
             target=_worker_main,
             args=(
@@ -757,11 +814,14 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_SPAWNED)
         return _Worker(slot=slot, process=process, conn=parent_end)
 
-    def _respawn(self, slot: int, reason: str, hung: bool = False) -> None:
-        """Replace the worker in ``slot`` after a death or hang.
+    def _respawn(
+        self, slot: int, job: _Job, reason: str, hung: bool = False
+    ) -> None:
+        """Replace the worker in ``slot`` after a death or hang,
+        charging the death to ``job``.
 
         Raises ``WorkerPoolError`` (infrastructure) when the pool is
-        closing, the per-job respawn budget is exhausted, or the
+        closing, ``job``'s respawn budget is exhausted, or the
         replacement itself cannot be spawned.
         """
         with self._lock:
@@ -777,11 +837,12 @@ class WorkerPool:
             raise WorkerPoolError(
                 "worker pool closed while a job was in flight"
             )
-        self._job_respawns += 1
-        if self._job_respawns > self._policy.max_respawns:
+        job.respawns += 1
+        if job.respawns > self._policy.max_respawns:
             raise WorkerPoolError(
                 f"respawn budget exhausted ({self._policy.max_respawns}"
-                f" worker deaths in one job); last failure: {reason}"
+                f" worker deaths charged to one job); last failure: "
+                f"{reason}"
             )
         try:
             self._workers[slot] = self._spawn_worker(slot)
@@ -792,24 +853,18 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_RESPAWNED)
 
     def _deliver(
-        self,
-        worker: _Worker,
-        key: str,
-        chunk: List[int],
-        attempts: Dict[int, int],
+        self, worker: _Worker, job: _Job, indices: List[int]
     ) -> bool:
         """Send (configure if needed +) a run chunk; False if the pipe
         is dead — the caller respawns and the chunk stays queued."""
         try:
-            if key not in worker.delivered:
-                worker.conn.send(
-                    ("configure", key, self._specs[key])
-                )
-                worker.delivered.add(key)
+            if job.key not in worker.delivered:
+                worker.conn.send(("configure", job.key, job.spec))
+                worker.delivered.add(job.key)
                 current().inc(_names.POOL_RECONFIGURES)
             worker.conn.send(
-                ("run", key,
-                 [(index, attempts[index]) for index in chunk])
+                ("run", job.key,
+                 [(index, job.attempts[index]) for index in indices])
             )
         except (OSError, ValueError):
             return False
@@ -818,193 +873,170 @@ class WorkerPool:
     # -- dispatcher ----------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                return
-            if job.handle.cancelled:
-                job.handle._fail(WorkerPoolError(_CANCELLED_BEFORE_START))
-                continue
-            try:
-                outcomes = self._execute(job)
-            except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handle, not die silently in a daemon thread
-                with self._lock:
-                    self._broken = True
-                job.handle._fail(error)
-                self._fail_pending(error)
-                return
-            job.handle._finish(outcomes)
-
-    def _execute(self, job: _Job) -> List[_Outcome]:
-        registry = current()
-        policy = self._policy
-        key = self._register(job.spec)
-        self._job_respawns = 0
-        # Configure broadcast up front: one cheap spec message per
-        # worker missing this key replaces what used to be a full
-        # fork + config re-pickle + experiment rebuild per worker.
-        for slot in range(len(self._workers)):
-            while key not in self._workers[slot].delivered:
-                worker = self._workers[slot]
-                try:
-                    worker.conn.send(("configure", key, job.spec))
-                    worker.delivered.add(key)
-                    registry.inc(_names.POOL_RECONFIGURES)
-                except (OSError, ValueError):
-                    self._respawn(
-                        slot, "worker gone before configure"
-                    )
-        chunk = adaptive_chunksize(
-            len(job.indices), len(self._workers), job.chunksize
-        )
-        attempts: Dict[int, int] = {
-            int(index): 0 for index in job.indices
-        }
-        pending: Deque[List[int]] = deque(
-            job.indices[start : start + chunk]
-            for start in range(0, len(job.indices), chunk)
-        )
-        in_flight: Dict[int, Tuple[List[int], float]] = {}
-        outcomes: List[_Outcome] = []
-        consecutive_deaths = 0
-        while pending or in_flight:
-            # -- dispatch to idle workers ------------------------------
-            for slot in range(len(self._workers)):
-                if not pending:
-                    break
-                if slot in in_flight:
-                    continue
-                worker = self._workers[slot]
-                chunk_indices = pending[0]
-                if self._deliver(worker, key, chunk_indices, attempts):
-                    pending.popleft()
-                    in_flight[slot] = (
-                        chunk_indices, time.monotonic()
-                    )
-                    registry.inc(_names.POOL_TASKS_DISPATCHED)
-                else:
-                    # Dead before the chunk was even dispatched: the
-                    # chunk carries no blame (stays queued as-is); the
-                    # respawn budget still bounds this.
-                    consecutive_deaths += 1
-                    self._respawn(
-                        slot, "worker gone before dispatch"
-                    )
-            if not in_flight:
-                continue
-            # -- wait for replies (bounded by the soft timeout) --------
-            conn_to_slot = {
-                self._workers[slot].conn: slot for slot in in_flight
-            }
-            timeout: Optional[float] = None
-            if policy.run_timeout is not None:
-                now = time.monotonic()
-                deadline = min(
-                    started + policy.run_timeout
-                    for _, started in in_flight.values()
-                )
-                timeout = max(0.001, deadline - now)
-            ready = _wait_ready(list(conn_to_slot), timeout)
-            if not ready:
-                # Soft timeout expired: classify hung workers, kill
-                # and respawn them, retry/quarantine their runs.
-                assert policy.run_timeout is not None
-                now = time.monotonic()
-                for slot in list(in_flight):
-                    chunk_indices, started = in_flight[slot]
-                    if now - started < policy.run_timeout:
-                        continue
-                    registry.inc(_names.POOL_WORKERS_TIMED_OUT)
-                    consecutive_deaths += 1
-                    del in_flight[slot]
-                    reason = (
-                        f"chunk exceeded the {policy.run_timeout} s "
-                        f"soft timeout (hung worker killed)"
-                    )
-                    self._respawn(slot, reason, hung=True)
-                    self._absorb_failure(
-                        chunk_indices, attempts, pending, outcomes,
-                        reason, registry,
-                    )
-                self._backoff(consecutive_deaths)
-                continue
-            for conn in ready:
-                slot = conn_to_slot[conn]
-                if slot not in in_flight:
-                    continue  # already handled this sweep
-                try:
-                    message: Optional[Tuple[Any, ...]] = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                if message is not None and message[0] == "done":
-                    in_flight.pop(slot)
-                    outcomes.extend(message[1])
-                    consecutive_deaths = 0
-                    continue
-                # EOF (killed / crashed) or a 'fatal' report: either
-                # way this worker is done for — respawn it and put the
-                # blame on the runs it was holding.
-                chunk_indices, _ = in_flight.pop(slot)
-                reason = (
-                    "worker died mid-chunk (killed or crashed "
-                    "before replying)"
-                    if message is None
-                    else f"worker fault:\n{message[1]}"
-                )
-                consecutive_deaths += 1
-                self._respawn(slot, reason)
-                self._absorb_failure(
-                    chunk_indices, attempts, pending, outcomes,
-                    reason, registry,
-                )
-                self._backoff(consecutive_deaths)
-        return outcomes
-
-    def _absorb_failure(
-        self,
-        chunk_indices: List[int],
-        attempts: Dict[int, int],
-        pending: Deque[List[int]],
-        outcomes: List[_Outcome],
-        reason: str,
-        registry: Any,
-    ) -> None:
-        """Retry or quarantine every run of a failed chunk.
-
-        Retried runs go back as *singleton* chunks: a run sharing a
-        chunk with a poison run must not inherit its blame, and after
-        one isolation round the killer is unambiguous.
-        """
-        policy = self._policy
-        for index in chunk_indices:
-            attempts[index] += 1
-            if attempts[index] > policy.max_run_retries:
-                outcomes.append((
-                    index,
-                    None,
-                    quarantine_failure(index, attempts[index], reason),
-                ))
-                registry.inc(_names.POOL_RUNS_QUARANTINED)
-            else:
-                pending.append([index])
-                registry.inc(_names.POOL_RUNS_RETRIED)
-
-    def _backoff(self, consecutive_deaths: int) -> None:
-        delay = self._policy.retry_delay(consecutive_deaths)
-        if delay > 0:
-            time.sleep(delay)
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """Resolve every queued-but-unstarted handle after a break."""
-        while True:
-            try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                return
-            if job is not None:
+        try:
+            while not self._admit() or self._pending or self._in_flight:
+                self._dispatch()
+                self._await_replies()
+        except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handles, not die silently in a daemon thread
+            with self._lock:
+                self._broken = True
+                unresolved = list(self._live.values()) + list(self._inbox)
+                self._inbox.clear()
+            for position, job in enumerate(unresolved):
                 job.handle._fail(
-                    WorkerPoolError(
+                    error if position == 0 else WorkerPoolError(
                         f"worker pool broken by an earlier failure: "
                         f"{error}"
                     )
                 )
+
+    def _admit(self) -> bool:
+        """Split newly submitted jobs into chunks at the back of the
+        FIFO; True once the pool is closing."""
+        with self._lock:
+            self._wake_pending = False
+            jobs = list(self._inbox)
+            self._inbox.clear()
+            closing = self._closed
+        for job in jobs:
+            size = adaptive_chunksize(
+                len(job.indices), len(self._workers), job.chunksize
+            )
+            job.attempts = {index: 0 for index in job.indices}
+            for start in range(0, len(job.indices), size):
+                self._pending.append(
+                    (job, job.indices[start : start + size])
+                )
+                job.chunks += 1
+            self._live[id(job)] = job
+        return closing
+
+    def _dispatch(self) -> None:
+        """Hand the oldest pending chunks to idle workers."""
+        for slot in range(len(self._workers)):
+            while self._pending and slot not in self._in_flight:
+                job, indices = self._pending[0]
+                if not job.started and job.handle.cancelled:
+                    # Never dispatched: drop the job's chunks as they
+                    # reach the head, resolving its handle once.
+                    self._pending.popleft()
+                    if self._live.pop(id(job), None) is not None:
+                        job.handle._fail(
+                            WorkerPoolError(_CANCELLED_BEFORE_START)
+                        )
+                    continue
+                if self._deliver(self._workers[slot], job, indices):
+                    self._pending.popleft()
+                    job.started = True
+                    self._in_flight[slot] = (
+                        job, indices, time.monotonic()
+                    )
+                    current().inc(_names.POOL_TASKS_DISPATCHED)
+                else:
+                    # Dead before the chunk was even dispatched: the
+                    # chunk carries no blame (stays queued as-is); the
+                    # respawn budget of its job still bounds this.
+                    self._consecutive_deaths += 1
+                    self._respawn(slot, job, "worker gone before dispatch")
+
+    def _await_replies(self) -> None:
+        """Block until a worker replies, a job is submitted, the pool
+        closes, or the soft timeout of an in-flight chunk expires."""
+        policy = self._policy
+        conn_to_slot = {
+            self._workers[slot].conn: slot for slot in self._in_flight
+        }
+        timeout: Optional[float] = None
+        if policy.run_timeout is not None and self._in_flight:
+            deadline = policy.run_timeout + min(
+                started for _, _, started in self._in_flight.values()
+            )
+            timeout = max(0.001, deadline - time.monotonic())
+        ready = _wait_ready([self._wake_recv, *conn_to_slot], timeout)
+        current().inc(_names.POOL_DISPATCHER_WAKEUPS)
+        for conn in ready:
+            if conn is self._wake_recv:
+                while conn.poll():
+                    conn.recv_bytes()
+                continue
+            slot = conn_to_slot[conn]
+            try:
+                message: Optional[Tuple[Any, ...]] = conn.recv()
+            except (EOFError, OSError):
+                message = None
+            job, indices, _ = self._in_flight.pop(slot)
+            if message is not None and message[0] == "done":
+                job.outcomes.extend(message[1])
+                self._consecutive_deaths = 0
+                self._settle(job, 0)
+                continue
+            # EOF (killed / crashed) or a 'fatal' report: either way
+            # this worker is done for — respawn it and put the blame
+            # on the runs it was holding.
+            self._fail_chunk(
+                slot, job, indices,
+                "worker died mid-chunk (killed or crashed before "
+                "replying)"
+                if message is None
+                else f"worker fault:\n{message[1]}",
+            )
+        if policy.run_timeout is None:
+            return
+        now = time.monotonic()
+        for slot, (job, indices, started) in list(self._in_flight.items()):
+            if now - started < policy.run_timeout:
+                continue
+            current().inc(_names.POOL_WORKERS_TIMED_OUT)
+            del self._in_flight[slot]
+            self._fail_chunk(
+                slot, job, indices,
+                f"chunk exceeded the {policy.run_timeout} s soft "
+                f"timeout (hung worker killed)",
+                hung=True,
+            )
+
+    def _fail_chunk(
+        self,
+        slot: int,
+        job: _Job,
+        indices: List[int],
+        reason: str,
+        hung: bool = False,
+    ) -> None:
+        """Respawn the worker that lost ``indices``, then retry or
+        quarantine every run of the chunk.
+
+        Retried runs go back as *singleton* chunks at the head of the
+        FIFO (their job is the oldest work outstanding): a run sharing
+        a chunk with a poison run must not inherit its blame, and
+        after one isolation round the killer is unambiguous.
+        """
+        self._consecutive_deaths += 1
+        self._respawn(slot, job, reason, hung=hung)
+        registry = current()
+        retried: List[int] = []
+        for index in indices:
+            job.attempts[index] += 1
+            if job.attempts[index] > self._policy.max_run_retries:
+                job.outcomes.append((
+                    index,
+                    None,
+                    quarantine_failure(index, job.attempts[index], reason),
+                ))
+                registry.inc(_names.POOL_RUNS_QUARANTINED)
+            else:
+                retried.append(index)
+                registry.inc(_names.POOL_RUNS_RETRIED)
+        self._pending.extendleft((job, [index]) for index in reversed(retried))
+        self._settle(job, len(retried))
+        delay = self._policy.retry_delay(self._consecutive_deaths)
+        if delay > 0:
+            time.sleep(delay)
+
+    def _settle(self, job: _Job, requeued: int) -> None:
+        """Account one returned or failed chunk of ``job`` (``requeued``
+        singleton retries replace it); resolve the job at zero."""
+        job.chunks += requeued - 1
+        if job.chunks == 0:
+            del self._live[id(job)]
+            job.handle._finish(job.outcomes)

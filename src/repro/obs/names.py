@@ -157,6 +157,7 @@ POOL_RECONFIGURES = "pool.reconfigures"
 POOL_WARM_HITS = "pool.warm_hits"
 POOL_WARM_MISSES = "pool.warm_misses"
 POOL_TASKS_DISPATCHED = "pool.tasks_dispatched"
+POOL_DISPATCHER_WAKEUPS = "pool.dispatcher_wakeups"
 
 # -- pool supervision (respawn / retry / quarantine / degradation) -----
 

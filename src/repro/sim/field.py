@@ -103,7 +103,9 @@ class RectangularField:
     def neighbor_pairs(self, positions: Sequence[Position]) -> np.ndarray:
         """All index pairs ``(i, j), i < j`` within transmission range,
         as a ``(k, 2)`` int64 array in lexicographic order (``(0, 2)``
-        when there are none).
+        when there are none).  ``positions`` may be the ``(n, 2)``
+        float64 array :func:`~repro.sim.mobility.uniform_positions`
+        returns, which is read without a copy.
 
         Nodes are bucketed into square cells of side ``tx_range`` (any
         in-range pair sits in the same or adjacent cells) and sorted by

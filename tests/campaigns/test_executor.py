@@ -203,7 +203,7 @@ class TestPersistentPoolEngine:
         self, tmp_path, reference
     ):
         """Kill/resume byte-identity with the pool on both sides of
-        the crash: the pipelined in-flight shard is simply lost and
+        the crash: the window's in-flight shards are simply lost and
         re-executed."""
         _, expected, ref_status = reference
         path = str(tmp_path / "killed.sqlite")
@@ -244,6 +244,58 @@ class TestPersistentPoolEngine:
         assert resumed.canonical_digest == ref_status.canonical_digest
         with open(path, "rb") as handle:
             assert handle.read() == expected
+
+
+    def test_sigkill_with_a_full_window_then_resume(self, tmp_path):
+        """Killed right after the first commit, with a full window of
+        later shards in flight on two workers: every uncommitted
+        shard is lost, and the resumed store is byte-identical to a
+        one-process run's."""
+        spec = CampaignSpec(
+            name="window",
+            seed=2011,
+            runs_per_point=8,
+            runs_per_shard=2,
+            base="tiny",
+            grid={"n_compromised": [5, 10]},
+        )
+        assert len(spec.shards()) > 1 + 2 * 2  # more than the window
+        inline_path = str(tmp_path / "inline.sqlite")
+        assert run_campaign(
+            spec, inline_path, processes=1, git_revision=REV
+        ).complete
+        path = str(tmp_path / "killed.sqlite")
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as handle:
+            handle.write(spec.to_json())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)
+            ))),
+            "src",
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "campaign", "launch",
+                "--spec", spec_path, "--store", path,
+                "--revision", REV, "--kill-after-shards", "1",
+                "--processes", "2",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (-9, 137), proc.stderr
+        with CampaignStore(path) as store:
+            assert store.completed_shards(
+                spec.name, spec.spec_hash(), REV
+            ) == frozenset({0})
+        resumed = run_campaign(spec, path, processes=2, git_revision=REV)
+        assert resumed.complete
+        assert resumed.shards_skipped == 1
+        with open(path, "rb") as killed, open(inline_path, "rb") as inline:
+            assert killed.read() == inline.read()
 
 
 class TestCli:

@@ -193,7 +193,8 @@ class TestPoolMetrics:
         assert counters[_names.POOL_WORKERS_SPAWNED] == 2
         assert counters[_names.POOL_WARM_MISSES] == 2
         assert counters[_names.POOL_WARM_HITS] == 1
-        # One configure broadcast per miss reaches every worker.
+        # Both workers get chunks of each missed key, and with the
+        # first one its configure message.
         assert counters[_names.POOL_RECONFIGURES] == 4
         assert counters[_names.POOL_TASKS_DISPATCHED] >= 3
 

@@ -297,6 +297,57 @@ class TestWaitTimeoutCancellation:
             assert not pool.broken
 
 
+class TestCrossJobDispatch:
+    def test_later_job_resolves_while_earlier_job_is_hung(self):
+        """Chunks of every submitted job share one FIFO: while job A's
+        last chunk holds one worker, job B runs on the other worker
+        and resolves first, instead of queueing behind A."""
+        serial = NetworkExperiment(TINY, seed=7).run(4)
+        with WorkerPool(
+            processes=2,
+            policy=FAST,
+            execution_faults=plan(RunHang(hangs={1: 1}, duration=4.0)),
+        ) as pool:
+            spec = ExperimentSpec(config=TINY, seed=7)
+            first = pool.submit(spec, [0, 1], chunksize=1)
+            second = pool.submit(spec, [2, 3], chunksize=1)
+            later = second.wait(timeout=30.0)
+            assert not first.done()
+            earlier = first.wait(timeout=30.0)
+        results = {index: result for index, result, _ in earlier + later}
+        assert [results[index] for index in range(4)] == list(serial.runs)
+
+    def test_respawns_are_charged_to_the_owning_job(self):
+        """Two jobs in flight together each kill one worker: with a
+        budget of one death per job neither exhausts it, so the pool
+        stays whole and both jobs land the serial bits."""
+        serial = NetworkExperiment(TINY, seed=3).run(4)
+        registry = MetricsRegistry()
+        with installed(registry):
+            with WorkerPool(
+                processes=2,
+                policy=SupervisionPolicy(
+                    max_respawns=1, backoff_base=0.0, close_grace=5.0
+                ),
+                execution_faults=plan(WorkerKiller(kills={1: 1, 3: 1})),
+            ) as pool:
+                spec = ExperimentSpec(config=TINY, seed=3)
+                handles = [
+                    pool.submit(spec, [0, 1], chunksize=1),
+                    pool.submit(spec, [2, 3], chunksize=1),
+                ]
+                outcomes = [
+                    outcome
+                    for handle in handles
+                    for outcome in handle.wait(timeout=60.0)
+                ]
+                assert not pool.broken
+            counters = registry.snapshot().counters
+        outcomes.sort(key=lambda outcome: outcome[0])
+        assert [result for _, result, _ in outcomes] == list(serial.runs)
+        assert counters[_names.POOL_WORKERS_RESPAWNED] == 2
+
+
 class TestSlowWorker:
     def test_slow_worker_changes_timing_not_bits(self):
         serial = run_parallel(TINY, seed=4, runs=2, processes=1)

@@ -19,11 +19,25 @@ def field():
 
 class TestUniformPositions:
     def test_inside_field(self, field, rng):
-        for position in uniform_positions(field, 200, rng):
+        for position in uniform_positions(field, 200, rng).tolist():
             assert field.contains(position)
 
     def test_count(self, field, rng):
         assert len(uniform_positions(field, 17, rng)) == 17
+
+    def test_returns_float64_rows_of_the_two_draws(self, field):
+        """An ``(n, 2)`` float64 array: all x draws, then all y draws,
+        from one stream."""
+        positions = uniform_positions(
+            field, 9, np.random.default_rng(4)
+        )
+        reference = np.random.default_rng(4)
+        xs = reference.uniform(0.0, field.width, size=9)
+        ys = reference.uniform(0.0, field.height, size=9)
+        assert positions.shape == (9, 2)
+        assert positions.dtype == np.float64
+        assert np.array_equal(positions[:, 0], xs)
+        assert np.array_equal(positions[:, 1], ys)
 
     def test_rejects_zero(self, field, rng):
         with pytest.raises(ConfigurationError):
@@ -41,6 +55,20 @@ class TestStaticPlacement:
     def test_positions_at(self, field, rng):
         placement = StaticPlacement.uniform(field, 5, rng)
         assert len(placement.positions_at(1.0)) == 5
+
+    def test_positions_are_float_tuples(self, field):
+        placement = StaticPlacement.uniform(
+            field, 4, np.random.default_rng(2)
+        )
+        expected = uniform_positions(field, 4, np.random.default_rng(2))
+        assert placement.positions_at() == [
+            (x, y) for x, y in expected.tolist()
+        ]
+        assert all(
+            type(value) is float
+            for position in placement.positions_at()
+            for value in position
+        )
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
